@@ -2,9 +2,9 @@
  * @file
  * Flat open-addressing hash map for the simulator's hot paths.
  *
- * The sparse per-64B-block stores (memorg functional layer), the TLB
- * and the AutoNUMA remote-access counters are all touched once per
- * memory reference, and profiling shows std::unordered_map's
+ * The sparse per-64B-block stores (memorg functional layer) and the
+ * AutoNUMA remote-access counters are touched once per memory
+ * reference, and profiling shows std::unordered_map's
  * node-per-entry layout (malloc per insert, pointer chase per lookup)
  * dominating the functional layer. FlatMap stores entries inline in
  * one power-of-two slot array with linear probing and tombstone

@@ -1,6 +1,5 @@
 #include "obs/span.hh"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cinttypes>
@@ -14,22 +13,6 @@ namespace chameleon
 {
 namespace
 {
-
-std::uint64_t
-nextSpanSinkId()
-{
-    static std::atomic<std::uint64_t> counter{0};
-    return ++counter;
-}
-
-/** The calling thread's (sink id → ring) fast-path cache. */
-struct SpanRingCache
-{
-    std::uint64_t sinkId = 0; ///< 0 never matches a live sink
-    void *ring = nullptr;
-};
-
-thread_local SpanRingCache tlSpanRingCache;
 
 std::uint64_t
 splitMix64(std::uint64_t x)
@@ -137,49 +120,10 @@ parseHexU64(const std::string &s, std::uint64_t &out)
 }
 
 SpanSink::SpanSink(const SpanSinkConfig &config)
-    : cfg(config), id(nextSpanSinkId())
+    : cfg(config), rings(config.ringSpans)
 {
     if (cfg.ringSpans == 0)
         fatal("span: ring capacity must be non-zero");
-}
-
-SpanSink::~SpanSink() = default;
-
-SpanSink::Ring &
-SpanSink::localRing()
-{
-    if (tlSpanRingCache.sinkId == id)
-        return *static_cast<Ring *>(tlSpanRingCache.ring);
-
-    std::lock_guard<std::mutex> guard(registryMtx);
-    const std::thread::id self = std::this_thread::get_id();
-    Ring *ring = nullptr;
-    for (std::size_t i = 0; i < rings.size(); ++i) {
-        if (ringOwners[i] == self) {
-            ring = rings[i].get();
-            break;
-        }
-    }
-    if (!ring) {
-        rings.push_back(std::make_unique<Ring>(cfg.ringSpans));
-        ringOwners.push_back(self);
-        ring = rings.back().get();
-    }
-    tlSpanRingCache = SpanRingCache{id, ring};
-    return *ring;
-}
-
-void
-SpanSink::appendRetained(const Ring &ring,
-                         std::vector<SpanRecord> &out)
-{
-    const std::size_t cap = ring.spans.size();
-    const std::size_t kept =
-        static_cast<std::size_t>(std::min<std::uint64_t>(ring.head, cap));
-    const std::size_t start =
-        ring.head > cap ? static_cast<std::size_t>(ring.head % cap) : 0;
-    for (std::size_t i = 0; i < kept; ++i)
-        out.push_back(ring.spans[(start + i) % cap]);
 }
 
 void
@@ -201,40 +145,18 @@ SpanSink::setServerId(std::uint64_t server_id)
     serverId = server_id;
 }
 
-SpanSinkStats
-SpanSink::stats() const
-{
-    std::lock_guard<std::mutex> guard(registryMtx);
-    SpanSinkStats s;
-    for (const auto &ring : rings) {
-        const std::uint64_t kept =
-            std::min<std::uint64_t>(ring->head, ring->spans.size());
-        s.recorded += ring->head;
-        s.retained += kept;
-        s.dropped += ring->head - kept;
-    }
-    return s;
-}
-
 std::vector<SpanRecord>
 SpanSink::sortedSpans() const
 {
-    std::lock_guard<std::mutex> guard(registryMtx);
-    std::vector<SpanRecord> all;
-    for (const auto &ring : rings)
-        appendRetained(*ring, all);
-    std::stable_sort(all.begin(), all.end(),
-                     [](const SpanRecord &a, const SpanRecord &b) {
-                         return a.startUs < b.startUs;
-                     });
-    return all;
+    return rings.sortedBy(
+        [](const SpanRecord &sp) { return sp.startUs; });
 }
 
 std::string
 SpanSink::toPerfettoJson() const
 {
     const std::vector<SpanRecord> all = sortedSpans();
-    const SpanSinkStats s = stats();
+    const RingStats s = stats();
 
     std::map<std::uint64_t, OffsetEstimate> offsetsCopy;
     std::uint64_t serverIdCopy = 0;

@@ -1400,7 +1400,7 @@ Server::refreshMetricShadow()
         running = runningJobs;
     }
     const ResultCache::Stats cs = cache.stats();
-    const SpanSinkStats ss = spans ? spans->stats() : SpanSinkStats{};
+    const RingStats ss = spans ? spans->stats() : RingStats{};
     const auto uptime_ms = static_cast<std::uint64_t>(
         secondsSince(startedAt, Clock::now()) * 1000.0);
 
@@ -1515,7 +1515,7 @@ Server::statsText()
 
     // Span-sink drop accounting (satellite of the tracing tentpole):
     // retained is a gauge (ring occupancy), the others monotonic.
-    const SpanSinkStats ss = spans ? spans->stats() : SpanSinkStats{};
+    const RingStats ss = spans ? spans->stats() : RingStats{};
     out += strFormat("# TYPE serve_spans_retained gauge\n"
                      "serve_spans_retained %llu\n",
                      static_cast<unsigned long long>(ss.retained));

@@ -1,6 +1,7 @@
 #include "sim/experiment.hh"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -40,7 +41,8 @@ parseBenchArgs(int argc, char **argv)
             char *end = nullptr;
             errno = 0;
             const double v = std::strtod(raw, &end);
-            if (end == raw || *end != '\0' || errno == ERANGE)
+            if (end == raw || *end != '\0' || errno == ERANGE ||
+                !std::isfinite(v))
                 fatal("%s expects a number, got '%s'", flag.c_str(),
                       raw);
             return v;

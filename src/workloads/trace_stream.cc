@@ -1,8 +1,10 @@
 #include "workloads/trace_stream.hh"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
+#include <cctype>
+#include <cerrno>
+#include <cstdlib>
+#include <fstream>
 
 #include "common/log.hh"
 #include "os/frame_allocator.hh"
@@ -10,41 +12,77 @@
 namespace chameleon
 {
 
+namespace
+{
+
+/** First character at or after @p p that is not a blank. */
+const char *
+skipBlanks(const char *p)
+{
+    while (*p == ' ' || *p == '\t' || *p == '\r')
+        ++p;
+    return p;
+}
+
+/**
+ * Parse one unsigned number (hex 0x... or decimal) at @p p and move
+ * @p p past it. Signs, overflow and an empty field are rejected.
+ */
+bool
+parseUnsigned(const char *&p, unsigned long long &out)
+{
+    if (!std::isdigit(static_cast<unsigned char>(*p)))
+        return false;
+    char *end = nullptr;
+    errno = 0;
+    out = std::strtoull(p, &end, 0);
+    p = end;
+    return errno != ERANGE;
+}
+
+} // namespace
+
 TraceStream::TraceStream(const std::string &path)
 {
-    std::FILE *f = std::fopen(path.c_str(), "r");
-    if (!f)
+    std::ifstream in(path);
+    if (!in)
         fatal("TraceStream: cannot open '%s'", path.c_str());
-    char line[256];
+    // An address in the top page would wrap the page-rounded
+    // footprint (see computeFootprint).
+    constexpr Addr maxAddr = ~Addr{0} - pageBytes;
+    std::string line;
     std::size_t lineno = 0;
-    while (std::fgets(line, sizeof(line), f)) {
+    while (std::getline(in, line)) {
         ++lineno;
-        char *p = line;
-        while (*p == ' ' || *p == '\t')
-            ++p;
-        if (*p == '#' || *p == '\n' || *p == '\0')
+        const char *p = skipBlanks(line.c_str());
+        if (*p == '#' || *p == '\0')
             continue;
         const char op = *p;
-        if (op != 'R' && op != 'W' && op != 'r' && op != 'w') {
-            std::fclose(f);
+        if (op != 'R' && op != 'W' && op != 'r' && op != 'w')
             fatal("TraceStream: %s:%zu: expected R/W, got '%c'",
                   path.c_str(), lineno, op);
-        }
-        ++p;
-        char *end = nullptr;
-        const unsigned long long addr = std::strtoull(p, &end, 0);
-        if (end == p) {
-            std::fclose(f);
-            fatal("TraceStream: %s:%zu: missing address",
+        p = skipBlanks(p + 1);
+        unsigned long long addr = 0;
+        if (!parseUnsigned(p, addr))
+            fatal("TraceStream: %s:%zu: malformed address",
                   path.c_str(), lineno);
-        }
+        if (addr > maxAddr)
+            fatal("TraceStream: %s:%zu: address 0x%llx out of range",
+                  path.c_str(), lineno, addr);
         unsigned long long gap = 1;
-        p = end;
-        if (*p != '\n' && *p != '\0') {
-            gap = std::strtoull(p, &end, 0);
-            if (end == p || gap == 0)
-                gap = 1;
+        const char *rest = skipBlanks(p);
+        if (rest != p && *rest != '\0') {
+            // A blank-separated gap field.
+            p = rest;
+            if (!parseUnsigned(p, gap) || gap == 0)
+                fatal("TraceStream: %s:%zu: gap must be a positive "
+                      "integer",
+                      path.c_str(), lineno);
+            rest = skipBlanks(p);
         }
+        if (*rest != '\0')
+            fatal("TraceStream: %s:%zu: trailing junk '%s'",
+                  path.c_str(), lineno, rest);
         MemOp mo;
         mo.vaddr = static_cast<Addr>(addr) / 64 * 64;
         mo.type = (op == 'W' || op == 'w') ? AccessType::Write
@@ -53,7 +91,6 @@ TraceStream::TraceStream(const std::string &path)
             std::min<unsigned long long>(gap, 1u << 20));
         ops.push_back(mo);
     }
-    std::fclose(f);
     if (ops.empty())
         fatal("TraceStream: '%s' contains no references",
               path.c_str());

@@ -5,11 +5,13 @@
  *     R <vaddr> [gap]
  *     W <vaddr> [gap]
  *
- * with vaddr in hex (0x...) or decimal and gap an optional
+ * with vaddr in hex (0x...) or decimal and gap an optional positive
  * instruction count (default 1). Lines starting with '#' are
- * comments. The trace loops when exhausted so any instruction budget
- * can be simulated; the footprint is the page-rounded maximum address
- * seen. This is the adoption path for users with real application
+ * comments; lines may be of any length. A negative, overflowing or
+ * top-page address, a bad gap or trailing junk is fatal, naming the
+ * file and line. The trace loops when exhausted so any instruction
+ * budget can be simulated; the footprint is the page-rounded maximum
+ * address seen. This is the adoption path for users with real application
  * traces (e.g. produced by a PIN/DynamoRIO tool or a gem5 probe).
  */
 

@@ -1,13 +1,12 @@
 /**
  * @file
- * Core timing model and TLB tests: MLP window semantics, fault
- * blocking, IPC accounting, TLB LRU and invalidation.
+ * Core timing model tests: MLP window semantics, fault blocking and
+ * IPC accounting.
  */
 
 #include <gtest/gtest.h>
 
 #include "cpu/core_model.hh"
-#include "cpu/tlb.hh"
 
 using namespace chameleon;
 
@@ -77,43 +76,4 @@ TEST(CoreModel, IpcReflectsMemoryStalls)
     core.drain();
     // ~110 instructions over ~10*(10+90) cycles.
     EXPECT_NEAR(core.ipc(), 110.0 / 1000.0, 0.03);
-}
-
-TEST(Tlb, HitAfterInstall)
-{
-    Tlb tlb;
-    EXPECT_GT(tlb.lookup(0x1000), 0u);
-    EXPECT_EQ(tlb.lookup(0x1fff), 0u); // same page
-    EXPECT_EQ(tlb.hits(), 1u);
-    EXPECT_EQ(tlb.misses(), 1u);
-}
-
-TEST(Tlb, LruEviction)
-{
-    TlbConfig cfg;
-    cfg.entries = 4;
-    Tlb tlb(cfg);
-    for (Addr p = 0; p < 4; ++p)
-        tlb.lookup(p * 4_KiB);
-    tlb.lookup(0); // refresh page 0
-    tlb.lookup(4 * 4_KiB); // evicts page 1
-    EXPECT_EQ(tlb.lookup(0), 0u);
-    EXPECT_GT(tlb.lookup(1 * 4_KiB), 0u);
-}
-
-TEST(Tlb, InvalidateForcesWalk)
-{
-    Tlb tlb;
-    tlb.lookup(0x2000);
-    tlb.invalidate(0x2000);
-    EXPECT_GT(tlb.lookup(0x2000), 0u);
-}
-
-TEST(Tlb, FlushClearsEverything)
-{
-    Tlb tlb;
-    for (Addr p = 0; p < 8; ++p)
-        tlb.lookup(p * 4_KiB);
-    tlb.flush();
-    EXPECT_GT(tlb.lookup(0), 0u);
 }

@@ -183,7 +183,7 @@ TEST(SpanSinkSuite, OverwriteOldestCountsDrops)
     for (std::uint64_t i = 0; i < 20; ++i)
         sink.record(makeSpan(1, 100 + i, 0, i, i + 1,
                              SpanKind::SrvSimulate));
-    const SpanSinkStats st = sink.stats();
+    const RingStats st = sink.stats();
     EXPECT_EQ(st.recorded, 20u);
     EXPECT_EQ(st.retained, 8u);
     EXPECT_EQ(st.dropped, 12u);
@@ -223,7 +223,7 @@ TEST(SpanSinkSuite, DropAccountingUnderThreads)
     for (std::thread &t : threads)
         t.join();
 
-    const SpanSinkStats st = sink.stats();
+    const RingStats st = sink.stats();
     EXPECT_EQ(st.recorded, kThreads * kPerThread);
     EXPECT_EQ(st.retained, kThreads * kRing);
     EXPECT_EQ(st.dropped, kThreads * (kPerThread - kRing));

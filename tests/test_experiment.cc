@@ -86,6 +86,12 @@ TEST(Experiment, MalformedNumericValuesAreFatal)
     EXPECT_DEATH(parse({"--scale", "-3"}), "non-negative integer");
     EXPECT_DEATH(parse({"--faults", "0.1.2"}), "expects a number");
     EXPECT_DEATH(parse({"--timeout", "abc"}), "expects a number");
+    // NaN slipped past every range check and reached a UB cast.
+    EXPECT_DEATH(parse({"--faults", "nan"}), "expects a number");
+    EXPECT_DEATH(parse({"--warmup-frac", "nan"}), "expects a number");
+    EXPECT_DEATH(parse({"--timeout", "nan"}), "expects a number");
+    EXPECT_DEATH(parse({"--timeout", "inf"}), "expects a number");
+    EXPECT_DEATH(parse({"--fault-spikes", "-inf"}), "expects a number");
 }
 
 TEST(Experiment, NonPositiveKnobsAreFatal)

@@ -1,9 +1,10 @@
 /**
  * @file
  * Observability-layer tests (ctest -L obs): trace-sink ring
- * semantics, cross-thread event ordering, Chrome-trace JSON
- * round-trips through the reader/analyzer, a checked-in golden trace
- * compared event-for-event, the metrics registry, and an end-to-end
+ * semantics, ThreadRings sink isolation, cross-thread event
+ * ordering, Chrome-trace JSON round-trips through the
+ * reader/analyzer, a checked-in golden trace compared
+ * event-for-event, the metrics registry, and an end-to-end
  * fault-injected System run whose exported trace must carry the mode
  * switch / swap / ISA / retirement story with monotonic timestamps.
  *
@@ -17,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <new>
 #include <set>
 #include <string>
 #include <thread>
@@ -103,7 +105,7 @@ TEST(TraceSink, RingWraparoundCountsDropsNotSilent)
     for (std::uint64_t i = 0; i < 100; ++i)
         sink.record(i, TraceKind::IsaAlloc, i);
 
-    const TraceSinkStats st = sink.stats();
+    const RingStats st = sink.stats();
     EXPECT_EQ(st.recorded, 100u);
     EXPECT_EQ(st.dropped, 84u);
     EXPECT_EQ(st.retained, 16u);
@@ -140,7 +142,7 @@ TEST(TraceSink, CrossThreadEventsMergeInTimestampOrder)
     for (auto &th : threads)
         th.join();
 
-    const TraceSinkStats st = sink.stats();
+    const RingStats st = sink.stats();
     EXPECT_EQ(st.recorded, 3 * perThread);
     EXPECT_EQ(st.dropped, 0u);
 
@@ -158,6 +160,65 @@ TEST(TraceSink, CrossThreadEventsMergeInTimestampOrder)
     }
     for (std::uint64_t t = 0; t < 3; ++t)
         EXPECT_EQ(seen[t], perThread);
+}
+
+// One thread interleaving two live sinks of the same type misses the
+// thread-local fast path on every switch; each record must still land
+// in its own sink's ring.
+TEST(ThreadRings, AlternatingSinksKeepSeparateRings)
+{
+    TraceSinkConfig small;
+    small.ringEvents = 8;
+    TraceSink a(small);
+    TraceSink b;
+    for (std::uint64_t i = 0; i < 20; ++i) {
+        a.record(i, TraceKind::IsaAlloc, 1);
+        b.record(i, TraceKind::IsaAlloc, 2);
+    }
+
+    const RingStats sa = a.stats();
+    EXPECT_EQ(sa.recorded, 20u);
+    EXPECT_EQ(sa.dropped, 12u);
+    EXPECT_EQ(sa.retained, 8u);
+    const RingStats sb = b.stats();
+    EXPECT_EQ(sb.recorded, 20u);
+    EXPECT_EQ(sb.dropped, 0u);
+    EXPECT_EQ(sb.retained, 20u);
+
+    const auto ea = a.sortedEvents();
+    ASSERT_EQ(ea.size(), 8u);
+    for (std::size_t i = 0; i < ea.size(); ++i) {
+        EXPECT_EQ(ea[i].when, 12 + i);
+        EXPECT_EQ(ea[i].arg0, 1u);
+    }
+    for (const TraceEvent &ev : b.sortedEvents())
+        EXPECT_EQ(ev.arg0, 2u);
+}
+
+// A ring set built in the storage of a destroyed one (the same
+// address, by placement new) must not inherit its cached ring: this
+// is why the thread-local cache is keyed on an id.
+TEST(ThreadRings, ReplacementAtSameAddressStartsEmpty)
+{
+    alignas(ThreadRings<int>) unsigned char storage[sizeof(
+        ThreadRings<int>)];
+    auto *rings = new (storage) ThreadRings<int>(4);
+    rings->push(1);
+    rings->push(2);
+    EXPECT_EQ(rings->stats().recorded, 2u);
+    rings->~ThreadRings();
+
+    rings = new (storage) ThreadRings<int>(4);
+    EXPECT_EQ(rings->stats().recorded, 0u);
+    rings->push(3);
+    const RingStats st = rings->stats();
+    EXPECT_EQ(st.recorded, 1u);
+    EXPECT_EQ(st.retained, 1u);
+    std::vector<int> kept;
+    rings->forEachRetained(
+        [&](std::size_t, int v) { kept.push_back(v); });
+    EXPECT_EQ(kept, std::vector<int>{3});
+    rings->~ThreadRings();
 }
 
 TEST(TraceSink, ChromeJsonRoundTripsThroughReader)

@@ -219,9 +219,13 @@ TEST(TraceStream, ParsesAndReplays)
 {
     const char *path = "/tmp/chameleon_test_trace.txt";
     std::FILE *f = std::fopen(path, "w");
+    // A comment longer than any fixed line buffer, CRLF endings and
+    // trailing blanks are all accepted.
+    const std::string longComment = "# " + std::string(600, 'x') + "\n";
+    std::fputs(longComment.c_str(), f);
     std::fputs("# demo trace\n"
                "R 0x1000 10\n"
-               "W 4096 1\n"
+               "W 4096 1 \r\n"
                "r 0x20040\n",
                f);
     std::fclose(f);
@@ -254,6 +258,41 @@ TEST(TraceStream, RejectsGarbage)
     std::fclose(f);
     EXPECT_DEATH(TraceStream{path}, "expected R/W");
     EXPECT_DEATH(TraceStream{"/nonexistent/file"}, "cannot open");
+
+    // Every defect names the file and the (1-based) line it is on.
+    const struct
+    {
+        const char *body;
+        const char *error;
+    } cases[] = {
+        {"R -64\n", ":2: malformed address"},
+        {"R +64\n", ":2: malformed address"},
+        {"R\n", ":2: malformed address"},
+        {"R 0x10000000000000000\n", ":2: malformed address"},
+        {"R 0xfffffffffffff000\n", ":2: address .* out of range"},
+        {"R 0x1000zz\n", ":2: trailing junk 'zz'"},
+        {"R 0x1000 5 6\n", ":2: trailing junk '6'"},
+        {"R 0x1000 abc\n", ":2: gap must be a positive integer"},
+        {"R 0x1000 -1\n", ":2: gap must be a positive integer"},
+        {"R 0x1000 0\n", ":2: gap must be a positive integer"},
+        {"R 0x1000 99999999999999999999\n",
+         ":2: gap must be a positive integer"},
+    };
+    for (const auto &c : cases) {
+        f = std::fopen(path, "w");
+        std::fputs("R 0x40\n", f);
+        std::fputs(c.body, f);
+        std::fclose(f);
+        EXPECT_DEATH(TraceStream{path}, c.error) << c.body;
+    }
+
+    // A comment line longer than a fixed-size read buffer is still
+    // one line: the defect after it is reported on line 2, not 3.
+    f = std::fopen(path, "w");
+    std::fputs(("# " + std::string(300, 'x') + "\n").c_str(), f);
+    std::fputs("R 0x1000zz\n", f);
+    std::fclose(f);
+    EXPECT_DEATH(TraceStream{path}, ":2: trailing junk");
 }
 
 TEST(TraceStream, InMemoryConstruction)
