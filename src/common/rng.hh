@@ -17,7 +17,7 @@
 namespace chameleon
 {
 
-/** Deterministic xoshiro256** generator with distribution helpers. */
+/** Deterministic xoshiro256** generator with uniform helpers. */
 class Rng
 {
   public:
@@ -82,49 +82,6 @@ class Rng
         return uniform() < p;
     }
 
-    /**
-     * Geometric run length with mean @p mean (>= 1). Used for
-     * sequential-run spatial locality in address streams.
-     */
-    std::uint64_t
-    geometric(double mean)
-    {
-        if (mean <= 1.0)
-            return 1;
-        const double p = 1.0 / mean;
-        double u = uniform();
-        // Guard against log(0).
-        if (u >= 1.0)
-            u = 0.999999999999;
-        auto len = static_cast<std::uint64_t>(
-            std::floor(std::log1p(-u) / std::log1p(-p))) + 1;
-        return len;
-    }
-
-    /**
-     * Bounded Zipf-like rank sample in [0, n) with exponent @p s,
-     * computed by inverse-CDF approximation. Used to skew hot-page
-     * popularity inside a working set.
-     */
-    std::uint64_t
-    zipf(std::uint64_t n, double s)
-    {
-        if (n <= 1)
-            return 0;
-        // Approximate inverse CDF of the continuous analogue.
-        const double u = uniform();
-        if (s == 1.0) {
-            const double hn = std::log(static_cast<double>(n));
-            auto r = static_cast<std::uint64_t>(std::exp(u * hn)) - 1;
-            return r < n ? r : n - 1;
-        }
-        const double e = 1.0 - s;
-        const double nm = std::pow(static_cast<double>(n), e);
-        auto r = static_cast<std::uint64_t>(
-            std::pow(u * (nm - 1.0) + 1.0, 1.0 / e)) - 1;
-        return r < n ? r : n - 1;
-    }
-
   private:
     static std::uint64_t
     rotl(std::uint64_t x, int k)
@@ -133,6 +90,88 @@ class Rng
     }
 
     std::uint64_t state[4];
+};
+
+/**
+ * Geometric run length with mean @p mean (>= 1). Used for
+ * sequential-run spatial locality and inter-reference gaps in address
+ * streams. The log of the per-step continuation probability is fixed
+ * per distribution, so it is computed once here rather than per draw.
+ */
+class GeometricDist
+{
+  public:
+    explicit GeometricDist(double mean)
+        : degenerate(mean <= 1.0),
+          logQ(degenerate ? 0.0 : std::log1p(-(1.0 / mean)))
+    {
+    }
+
+    /**
+     * One draw, always >= 1. A mean of at most 1 returns 1 without
+     * consuming @p rng.
+     */
+    std::uint64_t
+    operator()(Rng &rng) const
+    {
+        if (degenerate)
+            return 1;
+        double u = rng.uniform();
+        // Guard against log(0).
+        if (u >= 1.0)
+            u = 0.999999999999;
+        return static_cast<std::uint64_t>(
+                   std::floor(std::log1p(-u) / logQ)) + 1;
+    }
+
+  private:
+    bool degenerate;
+    double logQ;
+};
+
+/**
+ * Bounded Zipf-like rank sample in [0, n) with exponent @p s,
+ * computed by inverse-CDF approximation of the continuous analogue.
+ * Used to skew hot-page popularity inside a working set. The terms
+ * that depend only on @p n and @p s are computed once here rather than
+ * per draw.
+ */
+class ZipfDist
+{
+  public:
+    ZipfDist(std::uint64_t n, double s) : count(n), harmonic(s == 1.0)
+    {
+        if (n <= 1)
+            return;
+        if (harmonic) {
+            logN = std::log(static_cast<double>(n));
+        } else {
+            const double e = 1.0 - s;
+            nmMinus1 = std::pow(static_cast<double>(n), e) - 1.0;
+            invE = 1.0 / e;
+        }
+    }
+
+    /** One draw; @p n <= 1 returns 0 without consuming @p rng. */
+    std::uint64_t
+    operator()(Rng &rng) const
+    {
+        if (count <= 1)
+            return 0;
+        const double u = rng.uniform();
+        const auto r =
+            harmonic ? static_cast<std::uint64_t>(std::exp(u * logN)) - 1
+                     : static_cast<std::uint64_t>(
+                           std::pow(u * nmMinus1 + 1.0, invE)) - 1;
+        return r < count ? r : count - 1;
+    }
+
+  private:
+    std::uint64_t count;
+    bool harmonic;
+    double logN = 0.0;
+    double nmMinus1 = 0.0;
+    double invE = 0.0;
 };
 
 } // namespace chameleon

@@ -18,8 +18,9 @@
 #ifndef CHAMELEON_CPU_CORE_MODEL_HH
 #define CHAMELEON_CPU_CORE_MODEL_HH
 
+#include <algorithm>
 #include <cstdint>
-#include <queue>
+#include <functional>
 #include <vector>
 
 #include "common/types.hh"
@@ -67,11 +68,8 @@ class CoreModel
     Cycle
     issueRead()
     {
-        while (outstanding.size() >= cfg.maxOutstanding) {
-            if (outstanding.top() > clock)
-                clock = outstanding.top();
-            outstanding.pop();
-        }
+        while (outstanding.size() >= cfg.maxOutstanding)
+            retireSoonest();
         return clock;
     }
 
@@ -79,7 +77,10 @@ class CoreModel
     void
     completeRead(Cycle done)
     {
-        outstanding.push(done);
+        outstanding.insert(std::upper_bound(outstanding.begin(),
+                                            outstanding.end(), done,
+                                            std::greater<Cycle>()),
+                           done);
         ++instrRetired;
         ++clock;
     }
@@ -104,11 +105,8 @@ class CoreModel
     void
     drain()
     {
-        while (!outstanding.empty()) {
-            if (outstanding.top() > clock)
-                clock = outstanding.top();
-            outstanding.pop();
-        }
+        while (!outstanding.empty())
+            retireSoonest();
     }
 
     /** Retired-instruction IPC at the current clock. */
@@ -121,13 +119,24 @@ class CoreModel
     }
 
   private:
+    /** Wait for the earliest-completing outstanding miss. */
+    void
+    retireSoonest()
+    {
+        clock = std::max(clock, outstanding.back());
+        outstanding.pop_back();
+    }
+
     CoreConfig cfg;
     Cycle clock = 0;
     std::uint64_t instrRetired = 0;
     Cycle faultStallCycles = 0;
-    std::priority_queue<Cycle, std::vector<Cycle>,
-                        std::greater<Cycle>>
-        outstanding;
+    /**
+     * Completion cycles of the outstanding misses, kept in descending
+     * order so the soonest is at back(). The window holds a handful of
+     * entries (maxOutstanding), so a sorted insert beats a heap.
+     */
+    std::vector<Cycle> outstanding;
 };
 
 } // namespace chameleon

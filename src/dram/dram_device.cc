@@ -12,12 +12,22 @@ namespace chameleon
 DramDevice::DramDevice(const DramTimings &timings)
     : cfg(timings)
 {
-    if (!isPowerOf2(cfg.rowBytes))
-        fatal("DramDevice: rowBytes %u must be a power of two",
+    // Power-of-two geometry turns mapAddress into shifts and masks.
+    if (!isPowerOf2(cfg.rowBytes) || cfg.rowBytes < 64)
+        fatal("DramDevice: rowBytes %u must be a power of two >= 64",
               cfg.rowBytes);
-    if (cfg.channels == 0 || cfg.ranksPerChannel == 0 ||
-        cfg.banksPerRank == 0)
-        fatal("DramDevice: degenerate geometry");
+    if (!isPowerOf2(cfg.channels))
+        fatal("DramDevice: channels %u must be a power of two",
+              cfg.channels);
+    const std::uint64_t banks =
+        static_cast<std::uint64_t>(cfg.ranksPerChannel) * cfg.banksPerRank;
+    if (!isPowerOf2(banks))
+        fatal("DramDevice: ranksPerChannel*banksPerRank %llu must be a "
+              "power of two", static_cast<unsigned long long>(banks));
+    chanMask = cfg.channels - 1;
+    rowSeqShift = floorLog2(cfg.channels) + floorLog2(cfg.rowBytes / 64);
+    bankMask = banks - 1;
+    bankShift = floorLog2(banks);
 
     cpuPerMemClock = cpuFreqGhz / cfg.busFreqGhz;
     tCasCpu = memToCpu(cfg.tCas);
@@ -30,7 +40,7 @@ DramDevice::DramDevice(const DramTimings &timings)
 
     channels.resize(cfg.channels);
     for (auto &ch : channels)
-        ch.banks.resize(cfg.ranksPerChannel * cfg.banksPerRank);
+        ch.banks.resize(banks);
 }
 
 void
@@ -40,14 +50,11 @@ DramDevice::mapAddress(Addr addr, std::uint32_t &channel,
     // 64B blocks interleave across channels; rows interleave across the
     // banks of a channel. This is the standard open-page mapping that
     // gives both channel parallelism and row locality for streams.
-    const Addr block = addr / 64;
-    channel = static_cast<std::uint32_t>(block % cfg.channels);
-    const Addr chan_local = block / cfg.channels;
-    const Addr blocks_per_row = cfg.rowBytes / 64;
-    const Addr row_seq = chan_local / blocks_per_row;
-    const std::uint32_t banks = cfg.ranksPerChannel * cfg.banksPerRank;
-    bank = static_cast<std::uint32_t>(row_seq % banks);
-    row = row_seq / banks;
+    const Addr block = addr >> 6;
+    channel = static_cast<std::uint32_t>(block & chanMask);
+    const Addr row_seq = block >> rowSeqShift;
+    bank = static_cast<std::uint32_t>(row_seq & bankMask);
+    row = row_seq >> bankShift;
 }
 
 Cycle

@@ -144,6 +144,14 @@ class DramDevice
         return cfg.channels * cfg.ranksPerChannel * cfg.banksPerRank;
     }
 
+    /**
+     * Decompose a device-local address into channel, bank (within the
+     * channel) and row. The constructor requires every geometry factor
+     * to be a power of two, so this is shifts and masks only.
+     */
+    void mapAddress(Addr addr, std::uint32_t &channel,
+                    std::uint32_t &bank, std::uint64_t &row) const;
+
   private:
     struct Bank
     {
@@ -163,10 +171,6 @@ class DramDevice
 
     static constexpr std::uint64_t noRow = ~static_cast<std::uint64_t>(0);
 
-    /** Decompose a device-local address into channel/bank/row. */
-    void mapAddress(Addr addr, std::uint32_t &channel,
-                    std::uint32_t &bank, std::uint64_t &row) const;
-
     /** Apply the refresh blackout window to a candidate start time. */
     Cycle refreshAdjust(Cycle start);
 
@@ -177,6 +181,9 @@ class DramDevice
     double cpuPerMemClock;
     Cycle tCasCpu, tRcdCpu, tRpCpu, tRasCpu, tBurstCpu;
     Cycle tRfcCpu, tRefiCpu;
+    /** mapAddress masks and shifts, derived from the geometry. */
+    Addr chanMask, bankMask;
+    unsigned rowSeqShift, bankShift;
     std::vector<Channel> channels;
     DramStats statsData;
 };

@@ -349,24 +349,32 @@ System::loadPerCoreWorkloads(const std::vector<AppProfile> &profiles)
 void
 System::runPhase(std::uint64_t retire_target)
 {
+    // key[i] mirrors cores[i].now() for a running core and is ~0 for
+    // a finished one, so picking the next core is one flat min-scan.
+    // Only the stepped core's clock moves, so only its key is
+    // refreshed per iteration.
     const std::uint32_t n = cfg.numCores;
-    std::vector<bool> done(n, false);
+    constexpr Cycle finished = ~static_cast<Cycle>(0);
+    std::vector<Cycle> key(n);
     std::uint32_t active = 0;
     for (std::uint32_t i = 0; i < n; ++i) {
-        if (cores[i].retired() >= retire_target)
-            done[i] = true;
-        else
+        if (cores[i].retired() >= retire_target) {
+            key[i] = finished;
+        } else {
+            key[i] = cores[i].now();
             ++active;
+        }
     }
 
     while (active > 0) {
         // Advance the core with the earliest local clock so memory
-        // requests arrive in (approximately) global time order.
+        // requests arrive in (approximately) global time order; a tie
+        // goes to the lowest index.
         std::uint32_t c = 0;
-        Cycle best = ~static_cast<Cycle>(0);
+        Cycle best = finished;
         for (std::uint32_t i = 0; i < n; ++i) {
-            if (!done[i] && cores[i].now() < best) {
-                best = cores[i].now();
+            if (key[i] < best) {
+                best = key[i];
                 c = i;
             }
         }
@@ -424,8 +432,10 @@ System::runPhase(std::uint64_t retire_target)
 
         if (core.retired() >= retire_target) {
             core.drain();
-            done[c] = true;
+            key[c] = finished;
             --active;
+        } else {
+            key[c] = core.now();
         }
     }
 }

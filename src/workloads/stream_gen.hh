@@ -8,9 +8,9 @@
  * plus a uniform cold tail, with geometric sequential runs for spatial
  * locality and optional phase changes that rotate the hot set through
  * the footprint. Emitting at LLC-miss level keeps the Table II MPKI
- * exact by construction and makes multi-configuration sweeps cheap;
- * the SRAM hierarchy (src/cache) is exercised separately by the
- * full-hierarchy mode, tests and examples.
+ * exact by construction and makes multi-configuration sweeps cheap.
+ * There is no SRAM cache model: the emitted stream is what the LLC
+ * would miss.
  *
  * Thread-compatible, not thread-safe: each stream (and its Rng) is
  * owned by one core of one System.
@@ -57,7 +57,7 @@ class SyntheticStream : public AddressStream
     std::uint64_t phase() const { return phaseIdx; }
 
   private:
-    void maybeRotatePhase();
+    void rotatePhases();
     void startNewRun();
 
     AppProfile prof;
@@ -66,8 +66,14 @@ class SyntheticStream : public AddressStream
     std::uint64_t blocks;
     std::uint64_t hotBlocks;
     std::uint64_t hotBase = 0;
-    double meanGap;
+    /** Hot-window advance per phase, in blocks (at least 1). */
+    std::uint64_t phaseStep;
 
+    GeometricDist gapDist;
+    GeometricDist runDist;
+    ZipfDist hotDist;
+
+    /** Next block to emit; always < blocks. */
     std::uint64_t pos = 0;
     std::uint64_t runRemaining = 0;
     std::uint64_t lastRunBase = ~0ull;
@@ -75,6 +81,8 @@ class SyntheticStream : public AddressStream
     std::uint64_t instrRetired = 0;
     std::uint64_t refs = 0;
     std::uint64_t phaseIdx = 0;
+    /** instrRetired at which the next phase starts (~0: never). */
+    std::uint64_t nextPhaseAt;
 };
 
 } // namespace chameleon

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/log.hh"
 #include "common/rng.hh"
@@ -97,28 +98,30 @@ TEST(Rng, UniformInUnitInterval)
 TEST(Rng, GeometricMeanMatches)
 {
     Rng rng(5);
-    const double target = 8.0;
+    const GeometricDist geo(8.0);
     double sum = 0.0;
     const int n = 50000;
     for (int i = 0; i < n; ++i)
-        sum += static_cast<double>(rng.geometric(target));
-    EXPECT_NEAR(sum / n, target, 0.35);
+        sum += static_cast<double>(geo(rng));
+    EXPECT_NEAR(sum / n, 8.0, 0.35);
 }
 
 TEST(Rng, GeometricDegenerateMean)
 {
     Rng rng(5);
+    const GeometricDist geo(1.0);
     for (int i = 0; i < 100; ++i)
-        EXPECT_EQ(rng.geometric(1.0), 1u);
+        EXPECT_EQ(geo(rng), 1u);
 }
 
 TEST(Rng, ZipfIsSkewed)
 {
     Rng rng(9);
     const std::uint64_t n = 1000;
+    const ZipfDist zipf(n, 0.8);
     std::uint64_t low = 0, total = 20000;
     for (std::uint64_t i = 0; i < total; ++i)
-        if (rng.zipf(n, 0.8) < n / 10)
+        if (zipf(rng) < n / 10)
             ++low;
     // With skew, the first decile should receive far more than 10%.
     EXPECT_GT(static_cast<double>(low) / static_cast<double>(total),
@@ -128,11 +131,85 @@ TEST(Rng, ZipfIsSkewed)
 TEST(Rng, ZipfBounded)
 {
     Rng rng(13);
+    const ZipfDist z6(37, 0.6), z10(37, 1.0);
     for (int i = 0; i < 10000; ++i) {
-        ASSERT_LT(rng.zipf(37, 0.6), 37u);
-        ASSERT_LT(rng.zipf(37, 1.0), 37u);
+        ASSERT_LT(z6(rng), 37u);
+        ASSERT_LT(z10(rng), 37u);
     }
-    EXPECT_EQ(rng.zipf(1, 0.7), 0u);
+    EXPECT_EQ(ZipfDist(1, 0.7)(rng), 0u);
+}
+
+namespace
+{
+
+// Closed-form per-draw samplers, recomputing every constant on every
+// call. GeometricDist and ZipfDist hoist those constants and must stay
+// draw-for-draw identical to these.
+
+std::uint64_t
+referenceGeometric(Rng &rng, double mean)
+{
+    if (mean <= 1.0)
+        return 1;
+    const double p = 1.0 / mean;
+    double u = rng.uniform();
+    if (u >= 1.0)
+        u = 0.999999999999;
+    return static_cast<std::uint64_t>(
+               std::floor(std::log1p(-u) / std::log1p(-p))) + 1;
+}
+
+std::uint64_t
+referenceZipf(Rng &rng, std::uint64_t n, double s)
+{
+    if (n <= 1)
+        return 0;
+    const double u = rng.uniform();
+    if (s == 1.0) {
+        const double hn = std::log(static_cast<double>(n));
+        auto r = static_cast<std::uint64_t>(std::exp(u * hn)) - 1;
+        return r < n ? r : n - 1;
+    }
+    const double e = 1.0 - s;
+    const double nm = std::pow(static_cast<double>(n), e);
+    auto r = static_cast<std::uint64_t>(
+                 std::pow(u * (nm - 1.0) + 1.0, 1.0 / e)) - 1;
+    return r < n ? r : n - 1;
+}
+
+} // namespace
+
+TEST(Rng, GeometricDistMatchesClosedForm)
+{
+    for (double mean : {0.5, 1.0, 1.5, 16.0, 64.0, 5263.0}) {
+        Rng a(77), b(77);
+        const GeometricDist geo(mean);
+        for (int i = 0; i < 100000; ++i)
+            ASSERT_EQ(geo(a), referenceGeometric(b, mean))
+                << "mean " << mean << " draw " << i;
+        // Same number of draws consumed (none when mean <= 1).
+        EXPECT_EQ(a.next(), b.next()) << "mean " << mean;
+    }
+    Rng fresh(77), used(77);
+    (void)GeometricDist(1.0)(used);
+    EXPECT_EQ(fresh.next(), used.next());
+}
+
+TEST(Rng, ZipfDistMatchesClosedForm)
+{
+    const std::pair<std::uint64_t, double> cases[] = {
+        {1, 0.7}, {2, 0.3}, {37, 0.6}, {37, 1.0}, {1u << 20, 0.8}};
+    for (const auto &[n, s] : cases) {
+        Rng a(91), b(91);
+        const ZipfDist zipf(n, s);
+        for (int i = 0; i < 100000; ++i)
+            ASSERT_EQ(zipf(a), referenceZipf(b, n, s))
+                << "n " << n << " s " << s << " draw " << i;
+        EXPECT_EQ(a.next(), b.next()) << "n " << n << " s " << s;
+    }
+    Rng fresh(91), used(91);
+    (void)ZipfDist(1, 0.7)(used);
+    EXPECT_EQ(fresh.next(), used.next());
 }
 
 TEST(Stats, MeanTracker)

@@ -1,11 +1,16 @@
 /**
  * @file
- * Core timing model tests: MLP window semantics, fault blocking and
- * IPC accounting.
+ * Core timing model tests: MLP window semantics, fault blocking,
+ * IPC accounting, and equivalence with a heap-based MLP window.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <queue>
+#include <vector>
+
+#include "common/rng.hh"
 #include "cpu/core_model.hh"
 
 using namespace chameleon;
@@ -76,4 +81,93 @@ TEST(CoreModel, IpcReflectsMemoryStalls)
     core.drain();
     // ~110 instructions over ~10*(10+90) cycles.
     EXPECT_NEAR(core.ipc(), 110.0 / 1000.0, 0.03);
+}
+
+namespace
+{
+
+/** The MLP window as a min-heap: the model CoreModel must match. */
+class HeapCore
+{
+  public:
+    explicit HeapCore(std::uint32_t max_outstanding)
+        : maxOutstanding(max_outstanding)
+    {
+    }
+
+    Cycle
+    issueRead()
+    {
+        while (outstanding.size() >= maxOutstanding)
+            popSoonest();
+        return clock;
+    }
+
+    void
+    completeRead(Cycle done)
+    {
+        outstanding.push(done);
+        ++clock;
+    }
+
+    void retireCompute(std::uint64_t n) { clock += n; }
+
+    void
+    drain()
+    {
+        while (!outstanding.empty())
+            popSoonest();
+    }
+
+    Cycle now() const { return clock; }
+
+  private:
+    void
+    popSoonest()
+    {
+        if (outstanding.top() > clock)
+            clock = outstanding.top();
+        outstanding.pop();
+    }
+
+    std::uint32_t maxOutstanding;
+    Cycle clock = 0;
+    std::priority_queue<Cycle, std::vector<Cycle>, std::greater<Cycle>>
+        outstanding;
+};
+
+} // namespace
+
+TEST(CoreModel, WindowMatchesHeapReference)
+{
+    for (std::uint32_t window : {1u, 2u, 3u, 8u}) {
+        CoreConfig cfg;
+        cfg.maxOutstanding = window;
+        CoreModel core(cfg);
+        HeapCore ref(window);
+        Rng rng(window);
+        for (int i = 0; i < 200000; ++i) {
+            if (rng.chance(0.3)) {
+                const std::uint64_t n = rng.below(50);
+                core.retireCompute(n);
+                ref.retireCompute(n);
+            }
+            const Cycle issue = core.issueRead();
+            ASSERT_EQ(issue, ref.issueRead()) << "window " << window;
+            // Random latencies, including duplicates and completions
+            // earlier than later-issued ones.
+            const Cycle done = issue + rng.below(rng.chance(0.1) ? 4 : 600);
+            core.completeRead(done);
+            ref.completeRead(done);
+            ASSERT_EQ(core.now(), ref.now()) << "window " << window;
+            if (rng.chance(0.001)) {
+                core.drain();
+                ref.drain();
+                ASSERT_EQ(core.now(), ref.now()) << "window " << window;
+            }
+        }
+        core.drain();
+        ref.drain();
+        EXPECT_EQ(core.now(), ref.now()) << "window " << window;
+    }
 }

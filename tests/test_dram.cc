@@ -242,5 +242,71 @@ TEST_P(DramConfigTest, EveryAddressMapsSomewhere)
     }
 }
 
+namespace
+{
+
+/** The division-based address mapping mapAddress must reproduce. */
+void
+divisionMap(const DramTimings &t, Addr addr, std::uint32_t &channel,
+            std::uint32_t &bank, std::uint64_t &row)
+{
+    const Addr block = addr / 64;
+    channel = static_cast<std::uint32_t>(block % t.channels);
+    const Addr chan_local = block / t.channels;
+    const Addr row_seq = chan_local / (t.rowBytes / 64);
+    const std::uint32_t banks = t.ranksPerChannel * t.banksPerRank;
+    bank = static_cast<std::uint32_t>(row_seq % banks);
+    row = row_seq / banks;
+}
+
+void
+expectMappingMatchesDivision(const DramTimings &t)
+{
+    const DramDevice dev(t);
+    Rng rng(29);
+    for (int i = 0; i < (1 << 20); ++i) {
+        const Addr a = rng.below(t.capacity);
+        std::uint32_t ch, bank, want_ch, want_bank;
+        std::uint64_t row, want_row;
+        dev.mapAddress(a, ch, bank, row);
+        divisionMap(t, a, want_ch, want_bank, want_row);
+        ASSERT_EQ(ch, want_ch) << t.name << " addr " << a;
+        ASSERT_EQ(bank, want_bank) << t.name << " addr " << a;
+        ASSERT_EQ(row, want_row) << t.name << " addr " << a;
+    }
+}
+
+} // namespace
+
+TEST_P(DramConfigTest, MappingMatchesDivisionFormula)
+{
+    // Full Table I capacity, so the high address bits are exercised.
+    expectMappingMatchesDivision(GetParam() == 0 ? stackedDramConfig()
+                                                 : offchipDramConfig());
+}
+
+TEST(DramDevice, MappingMatchesDivisionFormulaOtherGeometry)
+{
+    DramTimings t = offchipDramConfig();
+    t.channels = 8;
+    t.ranksPerChannel = 1;
+    t.banksPerRank = 4;
+    t.rowBytes = 8192;
+    expectMappingMatchesDivision(t);
+}
+
+TEST(DramDevice, NonPowerOfTwoGeometryIsFatal)
+{
+    DramTimings t = tinyConfig();
+    t.channels = 3;
+    EXPECT_DEATH(DramDevice{t}, "channels 3 must be a power of two");
+    t = tinyConfig();
+    t.banksPerRank = 6;
+    EXPECT_DEATH(DramDevice{t}, "ranksPerChannel\\*banksPerRank 12");
+    t = tinyConfig();
+    t.rowBytes = 32;
+    EXPECT_DEATH(DramDevice{t}, "rowBytes 32");
+}
+
 INSTANTIATE_TEST_SUITE_P(BothDevices, DramConfigTest,
                          ::testing::Values(0, 1));

@@ -2,7 +2,8 @@
  * @file
  * Workload generator tests: Table II fidelity (MPKI, footprint),
  * locality structure, phase drift, and determinism — including a
- * parameterized sweep over the whole suite.
+ * parameterized sweep over the whole suite and a golden hash of every
+ * app's reference stream.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,10 @@
 #include <unordered_set>
 
 #include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "workloads/profile.hh"
 #include "workloads/trace_stream.hh"
@@ -305,4 +310,75 @@ TEST(TraceStream, InMemoryConstruction)
     TraceStream t(std::move(ops));
     EXPECT_EQ(t.size(), 4u);
     EXPECT_EQ(t.footprint(), 12_KiB);
+}
+
+#ifndef CHAM_GOLDEN_DIR
+#error "build must define CHAM_GOLDEN_DIR"
+#endif
+
+namespace
+{
+
+/** FNV-1a over the little-endian bytes of @p v. */
+void
+fnvMix(std::uint64_t &h, std::uint64_t v, int bytes)
+{
+    for (int i = 0; i < bytes; ++i) {
+        h ^= (v >> (8 * i)) & 0xff;
+        h *= 0x100000001b3ull;
+    }
+}
+
+/** "app seed hash phase" for the first 2^20 references of one copy. */
+std::string
+streamDigest(const AppProfile &p, std::uint64_t seed)
+{
+    SyntheticStream s(p, p.footprintBytes, seed);
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (int i = 0; i < (1 << 20); ++i) {
+        const MemOp op = s.next();
+        fnvMix(h, op.vaddr, 8);
+        fnvMix(h, static_cast<std::uint64_t>(op.type), 1);
+        fnvMix(h, op.gap, 4);
+    }
+    char line[128];
+    std::snprintf(line, sizeof(line), "%s %llu %016llx %llu",
+                  p.name.c_str(), static_cast<unsigned long long>(seed),
+                  static_cast<unsigned long long>(h),
+                  static_cast<unsigned long long>(s.phase()));
+    return line;
+}
+
+} // namespace
+
+/**
+ * Every Table II app at scale 64, seeds 1 and 2, must reproduce the
+ * checked-in stream hash exactly. Aggregate stats (the baseline and
+ * the MPKI checks above) can absorb a changed draw; this cannot. On a
+ * mismatch the computed table is printed, so an intentional model
+ * change can regenerate tests/golden/streams.txt from the output.
+ */
+TEST(StreamGen, GoldenStreamHashes)
+{
+    std::ifstream in(std::string(CHAM_GOLDEN_DIR) + "/streams.txt");
+    ASSERT_TRUE(in) << "missing tests/golden/streams.txt";
+    std::vector<std::string> want;
+    for (std::string line; std::getline(in, line);)
+        if (!line.empty() && line[0] != '#')
+            want.push_back(line);
+
+    const auto suite = tableTwoSuite(64);
+    std::vector<std::string> got;
+    std::string table;
+    for (const AppProfile &p : suite) {
+        for (std::uint64_t seed : {1, 2}) {
+            got.push_back(streamDigest(p, seed));
+            table += got.back() + "\n";
+        }
+    }
+    EXPECT_TRUE(want == got) << "computed table:\n" << table;
+    if (want.size() == got.size()) {
+        for (std::size_t i = 0; i < got.size(); ++i)
+            EXPECT_EQ(want[i], got[i]);
+    }
 }
