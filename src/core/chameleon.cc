@@ -1,8 +1,6 @@
 #include "core/chameleon.hh"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 #include "common/log.hh"
 #include "obs/trace_sink.hh"
@@ -119,9 +117,6 @@ ChameleonMemory::noteCacheBurst(BurstRel rel)
             static_cast<double>(cacheAccessCount) /
             static_cast<double>(cacheBurstCount);
         fillAggressive = avg_len >= spatialFillThreshold;
-        if (getenv("CHAM_DEBUG"))
-            std::fprintf(stderr, "[%s] avg_burst=%.2f aggressive=%d\n",
-                         name(), avg_len, fillAggressive ? 1 : 0);
         cacheAccessCount /= 2;
         cacheBurstCount = std::max<std::uint64_t>(cacheBurstCount / 2,
                                                   1);

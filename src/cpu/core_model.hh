@@ -23,6 +23,7 @@
 #include <functional>
 #include <vector>
 
+#include "common/log.hh"
 #include "common/types.hh"
 
 namespace chameleon
@@ -31,7 +32,7 @@ namespace chameleon
 /** Core tuning parameters. */
 struct CoreConfig
 {
-    /** Maximum overlapped outstanding read misses (MLP). */
+    /** Maximum overlapped outstanding read misses (MLP); >= 1. */
     std::uint32_t maxOutstanding = 2;
 };
 
@@ -42,6 +43,8 @@ class CoreModel
     explicit CoreModel(const CoreConfig &config = CoreConfig())
         : cfg(config)
     {
+        if (cfg.maxOutstanding == 0)
+            fatal("CoreConfig::maxOutstanding must be at least 1");
     }
 
     /** Core-local current cycle. */

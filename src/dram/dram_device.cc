@@ -10,7 +10,9 @@ namespace chameleon
 {
 
 DramDevice::DramDevice(const DramTimings &timings)
-    : cfg(timings)
+    : cfg(timings),
+      refresh(static_cast<Cycle>(cfg.tRefiNs * cpuFreqGhz + 0.5),
+              static_cast<Cycle>(cfg.tRfcNs * cpuFreqGhz + 0.5))
 {
     // Power-of-two geometry turns mapAddress into shifts and masks.
     if (!isPowerOf2(cfg.rowBytes) || cfg.rowBytes < 64)
@@ -35,8 +37,6 @@ DramDevice::DramDevice(const DramTimings &timings)
     tRpCpu = memToCpu(cfg.tRp);
     tRasCpu = memToCpu(cfg.tRas);
     tBurstCpu = memToCpu(cfg.burstCycles());
-    tRfcCpu = static_cast<Cycle>(cfg.tRfcNs * cpuFreqGhz + 0.5);
-    tRefiCpu = static_cast<Cycle>(cfg.tRefiNs * cpuFreqGhz + 0.5);
 
     channels.resize(cfg.channels);
     for (auto &ch : channels)
@@ -63,12 +63,10 @@ DramDevice::refreshAdjust(Cycle start)
     // All banks are unavailable for tRFC at the top of each tREFI
     // window (all-bank refresh). Push the start time out of the
     // blackout if it lands inside one.
-    const Cycle win_start = (start / tRefiCpu) * tRefiCpu;
-    if (start < win_start + tRfcCpu) {
+    const Cycle adjusted = refresh.adjust(start);
+    if (adjusted != start)
         ++statsData.refreshStalls;
-        return win_start + tRfcCpu;
-    }
-    return start;
+    return adjusted;
 }
 
 Cycle

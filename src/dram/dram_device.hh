@@ -26,6 +26,44 @@ namespace chameleon
 class FaultInjector;
 class TraceSink;
 
+/**
+ * All-bank refresh schedule: every window of @c period cycles starts
+ * with a @c blackout during which no bank may issue. adjust() caches
+ * the window the last start fell in, so the common case (the next
+ * start lands in the same window) costs two compares instead of a
+ * 64-bit division; starts are not monotonic, so any start outside the
+ * cached window, earlier or later, recomputes it by division.
+ */
+class RefreshWindow
+{
+  public:
+    RefreshWindow(Cycle period, Cycle blackout)
+        : period(period), blackout(blackout)
+    {
+    }
+
+    /**
+     * @p start pushed to the end of its window's blackout if it lands
+     * inside it, else @p start. Equals
+     * max(start, start / period * period + blackout).
+     */
+    Cycle
+    adjust(Cycle start)
+    {
+        // Unsigned wrap sends start < winStart down the slow path too.
+        if (start - winStart >= period) [[unlikely]]
+            winStart = start / period * period;
+        const Cycle open = winStart + blackout;
+        return start < open ? open : start;
+    }
+
+  private:
+    Cycle period;
+    Cycle blackout;
+    /** Start of the window the last adjust() fell in. */
+    Cycle winStart = 0;
+};
+
 /** Aggregated counters exposed by a DramDevice. */
 struct DramStats
 {
@@ -180,7 +218,7 @@ class DramDevice
     MemNode faultNode = MemNode::OffChip;
     double cpuPerMemClock;
     Cycle tCasCpu, tRcdCpu, tRpCpu, tRasCpu, tBurstCpu;
-    Cycle tRfcCpu, tRefiCpu;
+    RefreshWindow refresh;
     /** mapAddress masks and shifts, derived from the geometry. */
     Addr chanMask, bankMask;
     unsigned rowSeqShift, bankShift;

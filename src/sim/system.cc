@@ -301,6 +301,7 @@ System::loadTraceWorkload(const std::vector<std::string> &paths)
     if (paths.empty())
         fatal("System: no trace paths given");
     cores.assign(cfg.numCores, CoreModel(cfg.core));
+    prefetch.reset();
     streams.clear();
     procs.clear();
     for (std::uint32_t c = 0; c < cfg.numCores; ++c) {
@@ -326,6 +327,7 @@ System::loadPerCoreWorkloads(const std::vector<AppProfile> &profiles)
     if (profiles.size() != cfg.numCores)
         fatal("System: need one workload per core (%u)", cfg.numCores);
     cores.assign(cfg.numCores, CoreModel(cfg.core));
+    prefetch.reset();
     streams.clear();
     procs.clear();
     for (std::uint32_t c = 0; c < cfg.numCores; ++c) {
@@ -381,7 +383,10 @@ System::runPhase(std::uint64_t retire_target)
 
         CoreModel &core = cores[c];
         maybeSnapshot(core.now());
-        const MemOp op = streams[c]->next();
+        if (refsBeforeHelper != 0 && --refsBeforeHelper == 0)
+            startStreamHelper();
+        const MemOp op =
+            prefetch ? prefetch->next(c) : streams[c]->next();
         if (op.gap > 1)
             core.retireCompute(op.gap - 1);
 
@@ -441,6 +446,18 @@ System::runPhase(std::uint64_t retire_target)
 }
 
 void
+System::startStreamHelper()
+{
+    // No rings are allocated while every CPU is busy.
+    if (!prefetch) {
+        if (!SimThreadBudget::hasRoom())
+            return;
+        prefetch = std::make_unique<StreamPrefetcher>(streams);
+    }
+    prefetch->start();
+}
+
+void
 System::drainRetirements(Cycle when)
 {
     const auto batch = injector->takeRetirements();
@@ -470,6 +487,21 @@ System::run(std::uint64_t instr_per_core, std::uint64_t warmup_per_core)
 {
     if (streams.empty())
         fatal("System: no workload loaded");
+
+    // Generate the first references inline; runPhase hands the streams
+    // to the helper after that. The guard joins the helper before
+    // run() returns (or unwinds), keeping its buffered ops.
+    const SimThreadBudget::Run in_flight;
+    refsBeforeHelper = StreamPrefetcher::inlineRefs;
+    struct JoinHelper
+    {
+        System &sys;
+        ~JoinHelper()
+        {
+            if (sys.prefetch)
+                sys.prefetch->stop();
+        }
+    } join_helper{*this};
 
     if (warmup_per_core > 0)
         runPhase(warmup_per_core);

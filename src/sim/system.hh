@@ -23,6 +23,7 @@
 #include "obs/trace_sink.hh"
 #include "os/autonuma.hh"
 #include "os/mini_os.hh"
+#include "sim/stream_prefetcher.hh"
 #include "verify/shadow_oracle.hh"
 #include "workloads/profile.hh"
 #include "workloads/stream_gen.hh"
@@ -192,10 +193,22 @@ struct RunResult
 /**
  * The simulated machine.
  *
- * Thread-compatible, not thread-safe: a System and everything it owns
- * (devices, organization, OS, cores, streams) must stay on a single
- * thread. Parallel sweeps (sim/sweep_runner.hh) construct one System
- * per run; nothing is shared between runs except the log mutex.
+ * Thread-compatible, not thread-safe: the caller uses a System, and
+ * everything it owns (devices, organization, OS, cores, streams),
+ * from one thread. Parallel sweeps (sim/sweep_runner.hh) construct
+ * one System per run.
+ *
+ * Inside run(), after the first StreamPrefetcher::inlineRefs
+ * references, the streams move to a helper thread that generates
+ * them ahead of the timing loop (sim/stream_prefetcher.hh), if a CPU
+ * is free for it: SimThreadBudget counts run() calls in flight plus
+ * running helpers across the process; a helper starts only while that
+ * count is below the CPUs the process may use, and hands the streams
+ * back if it later exceeds them. The helper owns the streams from its
+ * start until it hands them back or run() joins it, before returning;
+ * ops it generated ahead stay buffered and are consumed first by the
+ * next run() on the same System. Loading a workload discards them.
+ * Results are bit-identical whether or not the helper runs.
  */
 class System
 {
@@ -246,6 +259,11 @@ class System
     TraceSink *traceSink() { return sink.get(); }
     /** Always present; every component counter is named here. */
     MetricsRegistry &metricsRegistry() { return *registry; }
+    /** Null until a run() first finds a CPU for the stream helper. */
+    const StreamPrefetcher *streamPrefetcher() const
+    {
+        return prefetch.get();
+    }
     const SystemConfig &config() const { return cfg; }
 
   private:
@@ -272,6 +290,8 @@ class System
     /** Write --trace / --metrics output files (end of run()). */
     void writeObsOutputs();
     void runPhase(std::uint64_t retire_target);
+    /** Hand the streams to the helper thread if a CPU is free. */
+    void startStreamHelper();
 
     /**
      * Service pending segment-retirement requests from the injector:
@@ -305,6 +325,10 @@ class System
     std::vector<CoreModel> cores;
     std::vector<std::unique_ptr<AddressStream>> streams;
     std::vector<ProcId> procs;
+    /** Generates streams ahead on a helper thread; null until used. */
+    std::unique_ptr<StreamPrefetcher> prefetch;
+    /** References this run() still generates inline (0: decided). */
+    std::uint64_t refsBeforeHelper = 0;
 
     /** Memory references between full oracle sweeps. */
     static constexpr std::uint64_t oracleSweepInterval = 1ull << 18;

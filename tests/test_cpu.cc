@@ -24,6 +24,13 @@ TEST(CoreModel, ComputeAdvancesClockAtCpiOne)
     EXPECT_DOUBLE_EQ(core.ipc(), 1.0);
 }
 
+TEST(CoreModel, ZeroWindowIsFatal)
+{
+    CoreConfig cfg;
+    cfg.maxOutstanding = 0;
+    EXPECT_DEATH(CoreModel{cfg}, "CoreConfig::maxOutstanding");
+}
+
 TEST(CoreModel, ReadsOverlapUpToWindow)
 {
     CoreConfig cfg;

@@ -310,3 +310,94 @@ TEST(DramDevice, NonPowerOfTwoGeometryIsFatal)
 
 INSTANTIATE_TEST_SUITE_P(BothDevices, DramConfigTest,
                          ::testing::Values(0, 1));
+
+namespace
+{
+
+/** The refresh rule as a closed formula: the division per call. */
+Cycle
+refreshByDivision(Cycle start, Cycle period, Cycle blackout)
+{
+    const Cycle win = start / period * period;
+    return start < win + blackout ? win + blackout : start;
+}
+
+} // namespace
+
+TEST(RefreshWindow, MatchesDivisionFormula)
+{
+    const DramTimings t = offchipDramConfig();
+    const auto period = static_cast<Cycle>(t.tRefiNs * cpuFreqGhz + 0.5);
+    const auto blackout = static_cast<Cycle>(t.tRfcNs * cpuFreqGhz + 0.5);
+    RefreshWindow win(period, blackout);
+    Rng rng(17);
+    Cycle start = 0;
+    std::uint64_t stalls = 0, formula_stalls = 0;
+    for (int i = 0; i < 1'000'000; ++i) {
+        // Random walks forward and back, jumps across many windows,
+        // repeats, and the exact window and blackout edges.
+        switch (rng.below(8)) {
+          case 0:
+            start -= std::min<Cycle>(start, rng.below(3 * period));
+            break;
+          case 1:
+            start += rng.below(50 * period);
+            break;
+          case 2:
+            start = start / period * period + blackout - rng.below(2);
+            break;
+          case 3:
+            start = start / period * period - rng.below(2) *
+                                                  std::min<Cycle>(start, 1);
+            break;
+          case 4:
+            break;
+          default:
+            start += rng.below(400);
+        }
+        const Cycle got = win.adjust(start);
+        const Cycle want = refreshByDivision(start, period, blackout);
+        ASSERT_EQ(got, want) << "start " << start << " step " << i;
+        stalls += got != start;
+        formula_stalls += want != start;
+    }
+    EXPECT_EQ(stalls, formula_stalls);
+    EXPECT_GT(stalls, 10'000u);
+}
+
+TEST(RefreshWindow, MonotoneAndDecreasingSequences)
+{
+    RefreshWindow win(1000, 100);
+    for (Cycle s = 0; s < 20'000; s += 7)
+        ASSERT_EQ(win.adjust(s), refreshByDivision(s, 1000, 100)) << s;
+    for (Cycle s = 20'000; s-- > 0;)
+        ASSERT_EQ(win.adjust(s), refreshByDivision(s, 1000, 100)) << s;
+}
+
+// Completion-time sum and refresh-stall count of a DramDevice driven by
+// a non-monotonic access sequence (demand and bulk traffic), pinned on
+// the commit whose refreshAdjust divided on every access.
+TEST(DramDevice, NonMonotonicAccessesMatchPinnedTotals)
+{
+    DramDevice dev(offchipDramConfig(64));
+    std::uint64_t x = 88172645463325252ull;
+    Cycle when = 0, sum = 0;
+    for (int i = 0; i < 200'000; ++i) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        // Mostly forward, with frequent jumps back across windows.
+        if (x % 5 == 0)
+            when -= std::min<Cycle>(when, x % 40'000);
+        else
+            when += x % 700;
+        const Addr a = (x >> 20) % dev.capacity() & ~Addr(63);
+        sum += dev.access(a, (x & 4) ? AccessType::Write : AccessType::Read,
+                          when);
+        if (i % 64 == 0)
+            sum += dev.bulkTransfer(a & ~Addr(4095), 2048,
+                                    AccessType::Write, when);
+    }
+    EXPECT_EQ(sum, 198309163812u);
+    EXPECT_EQ(dev.stats().refreshStalls, 1368u);
+}
