@@ -77,6 +77,40 @@ floorLog2(std::uint64_t v)
     return l;
 }
 
+/**
+ * Division by a fixed divisor below 2^32, for dividends below 2^32,
+ * as one multiply-high instead of a 64-bit division. With
+ * M = ceil(2^64 / d), n / d == (M * n) >> 64 exactly for every such
+ * n and d (Lemire, Kaser and Kurz, "Faster remainder by direct
+ * computation", 2019). d == 1 would need M == 2^64, so it is carried
+ * by a mask that passes the dividend through instead.
+ */
+class Divider32
+{
+  public:
+    Divider32() = default;
+
+    /** @p d must be non-zero. */
+    explicit constexpr Divider32(std::uint32_t d)
+        : magic(d > 1 ? ~std::uint64_t{0} / d + 1 : 0),
+          identity(d == 1 ? ~std::uint64_t{0} : 0)
+    {
+    }
+
+    /** @p n / d; @p n must be below 2^32. */
+    constexpr std::uint64_t
+    quotient(std::uint64_t n) const
+    {
+        return static_cast<std::uint64_t>(
+                   (static_cast<unsigned __int128>(magic) * n) >> 64) |
+               (n & identity);
+    }
+
+  private:
+    std::uint64_t magic = 0;
+    std::uint64_t identity = 0;
+};
+
 } // namespace chameleon
 
 #endif // CHAMELEON_COMMON_TYPES_HH

@@ -34,6 +34,16 @@ ChameleonMemory::name() const
     return "chameleon";
 }
 
+void
+ChameleonMemory::prefetch(Addr phys) const
+{
+    if (phys >= segSpace.osVisibleBytes())
+        return;
+    const std::uint64_t group = segSpace.groupOf(phys);
+    __builtin_prefetch(&table[group], 1);
+    __builtin_prefetch(&aug[group], 1);
+}
+
 double
 ChameleonMemory::cacheModeFraction() const
 {
@@ -205,16 +215,16 @@ ChameleonMemory::cacheModeAccess(std::uint64_t group,
 MemAccessResult
 ChameleonMemory::access(Addr phys, AccessType type, Cycle when)
 {
+    if (phys >= segSpace.osVisibleBytes())
+        panic("%s: access %#llx beyond OS-visible space", name(),
+              static_cast<unsigned long long>(phys));
+
     const std::uint64_t group = segSpace.groupOf(phys);
     if (aug[group].mode == GroupMode::Pom)
         return PomMemory::access(phys, type, when);
 
-    if (phys >= osVisibleBytes())
-        panic("%s: access %#llx beyond OS-visible space", name(),
-              static_cast<unsigned long long>(phys));
-
     const std::uint32_t logical = segSpace.slotOf(phys);
-    const Addr seg_off = phys % cfg.segmentBytes;
+    const Addr seg_off = segSpace.offsetOf(phys);
 
     MemAccessResult result;
     if (logical == 0 || !aug[group].isAllocated(logical)) {
@@ -349,7 +359,7 @@ ChameleonMemory::resolveLocation(Addr phys) const
     const SrrtAugment &a = aug[group];
     if (a.mode == GroupMode::Cache && a.hasCached() &&
         a.cachedSlot == logical) {
-        return slotLocation(group, 0) + phys % cfg.segmentBytes;
+        return slotLocation(group, 0) + segSpace.offsetOf(phys);
     }
     return PomMemory::resolveLocation(phys);
 }

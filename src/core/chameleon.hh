@@ -55,6 +55,8 @@ class ChameleonMemory : public PomMemory
     MemAccessResult access(Addr phys, AccessType type,
                            Cycle when) override;
     const char *name() const override;
+    /** Warms the group's SRT entry and its Fig 7 augment. */
+    void prefetch(Addr phys) const override;
 
     void isaAlloc(Addr seg_base, Cycle when) override;
     void isaFree(Addr seg_base, Cycle when) override;

@@ -46,16 +46,16 @@ ChameleonOptMemory::remapFreePair(std::uint64_t group, std::uint32_t p,
 MemAccessResult
 ChameleonOptMemory::access(Addr phys, AccessType type, Cycle when)
 {
+    if (phys >= segSpace.osVisibleBytes())
+        panic("%s: access %#llx beyond OS-visible space", name(),
+              static_cast<unsigned long long>(phys));
+
     const std::uint64_t group = segSpace.groupOf(phys);
     if (aug[group].mode == GroupMode::Pom)
         return PomMemory::access(phys, type, when);
 
-    if (phys >= osVisibleBytes())
-        panic("%s: access %#llx beyond OS-visible space", name(),
-              static_cast<unsigned long long>(phys));
-
     const std::uint32_t logical = segSpace.slotOf(phys);
-    const Addr seg_off = phys % cfg.segmentBytes;
+    const Addr seg_off = segSpace.offsetOf(phys);
 
     MemAccessResult result;
     if (!aug[group].isAllocated(logical)) {

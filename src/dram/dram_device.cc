@@ -21,15 +21,15 @@ DramDevice::DramDevice(const DramTimings &timings)
     if (!isPowerOf2(cfg.channels))
         fatal("DramDevice: channels %u must be a power of two",
               cfg.channels);
-    const std::uint64_t banks =
+    const std::uint64_t per_channel =
         static_cast<std::uint64_t>(cfg.ranksPerChannel) * cfg.banksPerRank;
-    if (!isPowerOf2(banks))
+    if (!isPowerOf2(per_channel))
         fatal("DramDevice: ranksPerChannel*banksPerRank %llu must be a "
-              "power of two", static_cast<unsigned long long>(banks));
+              "power of two", static_cast<unsigned long long>(per_channel));
     chanMask = cfg.channels - 1;
     rowSeqShift = floorLog2(cfg.channels) + floorLog2(cfg.rowBytes / 64);
-    bankMask = banks - 1;
-    bankShift = floorLog2(banks);
+    bankMask = per_channel - 1;
+    bankShift = floorLog2(per_channel);
 
     cpuPerMemClock = cpuFreqGhz / cfg.busFreqGhz;
     tCasCpu = memToCpu(cfg.tCas);
@@ -39,8 +39,7 @@ DramDevice::DramDevice(const DramTimings &timings)
     tBurstCpu = memToCpu(cfg.burstCycles());
 
     channels.resize(cfg.channels);
-    for (auto &ch : channels)
-        ch.banks.resize(banks);
+    banks.resize(cfg.channels * per_channel);
 }
 
 void
@@ -81,7 +80,7 @@ DramDevice::access(Addr addr, AccessType type, Cycle when)
     std::uint64_t row;
     mapAddress(addr, chan_idx, bank_idx, row);
     Channel &chan = channels[chan_idx];
-    Bank &bank = chan.banks[bank_idx];
+    Bank &bank = banks[(chan_idx << bankShift) | bank_idx];
 
     Cycle start = refreshAdjust(std::max(when, bank.readyAt));
 
@@ -165,25 +164,30 @@ Cycle
 DramDevice::bulkTransfer(Addr addr, std::uint64_t bytes, AccessType type,
                          Cycle when)
 {
+    // Block k covers [addr + 64k, addr + 64k + 64), wrapped past the
+    // capacity. Only every demandImpactStride-th block goes through
+    // the bank/bus model; each other block is an idle-slot steal that
+    // adds its bytes and one tBurst after the contending block before
+    // it, so the steals reduce to counts.
+    const std::uint64_t blocks = ceilDiv(bytes, 64);
+    if (blocks == 0)
+        return when;
     Cycle done = when;
-    std::uint32_t k = 0;
-    for (std::uint64_t off = 0; off < bytes; off += 64, ++k) {
-        Addr a = addr + off;
+    for (std::uint64_t k = 0; k < blocks; k += demandImpactStride) {
+        Addr a = addr + k * 64;
         if (a >= cfg.capacity)
             a %= cfg.capacity;
-        if (k % demandImpactStride == 0) {
-            done = access(a, type, when);
-        } else {
-            // Idle-slot steal: bandwidth accounted, no contention.
-            statsData.bytesTransferred += 64;
-            if (type == AccessType::Read)
-                ++statsData.reads;
-            else
-                ++statsData.writes;
-            done += tBurstCpu;
-        }
+        done = access(a, type, when);
     }
-    return done;
+    const std::uint64_t contended = ceilDiv(blocks, demandImpactStride);
+    const std::uint64_t stolen = blocks - contended;
+    statsData.bytesTransferred += stolen * 64;
+    if (type == AccessType::Read)
+        statsData.reads += stolen;
+    else
+        statsData.writes += stolen;
+    // Steals after the last contending block extend the completion.
+    return done + (blocks - 1) % demandImpactStride * tBurstCpu;
 }
 
 Cycle

@@ -202,7 +202,6 @@ class DramDevice
 
     struct Channel
     {
-        std::vector<Bank> banks;
         /** CPU cycle the data bus frees up. */
         Cycle busFreeAt = 0;
     };
@@ -223,6 +222,9 @@ class DramDevice
     Addr chanMask, bankMask;
     unsigned rowSeqShift, bankShift;
     std::vector<Channel> channels;
+    /** Every bank, channel-major: channel c's bank b is at
+     *  (c << bankShift) | b. */
+    std::vector<Bank> banks;
     DramStats statsData;
 };
 

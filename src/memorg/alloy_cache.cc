@@ -13,11 +13,21 @@ AlloyCache::AlloyCache(DramDevice *stacked_dev, DramDevice *offchip_dev,
         fatal("AlloyCache: needs a stacked device");
     if (cfg.lineBytes != 64)
         fatal("AlloyCache: only 64B lines are supported");
+    if (cfg.predictorEntries != 0 && !isPowerOf2(cfg.predictorEntries))
+        fatal("AlloyConfig::predictorEntries %u must be a power of two "
+              "(or 0)", cfg.predictorEntries);
     const auto usable = static_cast<std::uint64_t>(
         static_cast<double>(stacked->capacity()) * cfg.tadEfficiency);
     lines.resize(usable / cfg.lineBytes);
     if (lines.empty())
         fatal("AlloyCache: stacked capacity too small");
+    // Line index and tag come from one 32-bit quotient per access.
+    const std::uint64_t blocks = offchip->capacity() / cfg.lineBytes;
+    if (blocks > 1ull << 32 || lines.size() >= 1ull << 32)
+        fatal("AlloyCache: %llu off-chip or %llu stacked lines exceed "
+              "2^32", static_cast<unsigned long long>(blocks),
+              static_cast<unsigned long long>(lines.size()));
+    lineDiv = Divider32(static_cast<std::uint32_t>(lines.size()));
     // Start weakly predicting hit (2 on the 0..3 scale).
     predictor.assign(cfg.predictorEntries ? cfg.predictorEntries : 1,
                      2);
@@ -28,8 +38,7 @@ AlloyCache::predictHit(Addr phys) const
 {
     if (cfg.predictorEntries == 0)
         return true; // always-serial fallback
-    const std::size_t idx =
-        ((phys >> 12)) % cfg.predictorEntries;
+    const std::size_t idx = (phys >> 12) & (cfg.predictorEntries - 1);
     return predictor[idx] >= 2;
 }
 
@@ -38,8 +47,7 @@ AlloyCache::trainPredictor(Addr phys, bool hit)
 {
     if (cfg.predictorEntries == 0)
         return;
-    const std::size_t idx =
-        ((phys >> 12)) % cfg.predictorEntries;
+    const std::size_t idx = (phys >> 12) & (cfg.predictorEntries - 1);
     std::uint8_t &ctr = predictor[idx];
     if (hit && ctr < 3)
         ++ctr;
@@ -60,27 +68,33 @@ AlloyCache::name() const
     return "alloy-cache";
 }
 
-std::uint64_t
-AlloyCache::lineIndex(Addr phys) const
+AlloyCache::LineRef
+AlloyCache::locate(Addr phys) const
 {
-    return (phys / cfg.lineBytes) % lines.size();
+    const std::uint64_t block = phys >> 6;
+    const std::uint64_t tag = lineDiv.quotient(block);
+    return {block - tag * lines.size(), tag};
 }
 
-Addr
-AlloyCache::tagOf(Addr phys) const
+void
+AlloyCache::prefetch(Addr phys) const
 {
-    return (phys / cfg.lineBytes) / lines.size();
+    if (phys >= offchip->capacity())
+        return;
+    __builtin_prefetch(&lines[locate(phys).index], 1);
+    if (cfg.predictorEntries != 0)
+        __builtin_prefetch(
+            &predictor[(phys >> 12) & (cfg.predictorEntries - 1)], 1);
 }
 
 Addr
 AlloyCache::resolveLocation(Addr phys) const
 {
-    const std::uint64_t idx = lineIndex(phys);
-    const Line &line = lines[idx];
-    if (line.valid && line.tag == tagOf(phys))
-        return stackedLoc(idx * cfg.lineBytes);
-    return offchipLoc(phys / cfg.lineBytes * cfg.lineBytes +
-                      (phys % cfg.lineBytes));
+    const LineRef ref = locate(phys);
+    const Line &line = lines[ref.index];
+    if (line.valid && line.tag == ref.tag)
+        return stackedLoc(ref.index * cfg.lineBytes);
+    return offchipLoc(phys);
 }
 
 MemAccessResult
@@ -90,8 +104,9 @@ AlloyCache::access(Addr phys, AccessType type, Cycle when)
         panic("alloy-cache: access %#llx beyond OS-visible space",
               static_cast<unsigned long long>(phys));
 
-    const std::uint64_t idx = lineIndex(phys);
-    const Addr line_home = phys / cfg.lineBytes * cfg.lineBytes;
+    const LineRef ref = locate(phys);
+    const std::uint64_t idx = ref.index;
+    const Addr line_home = phys & ~(cfg.lineBytes - 1);
     const Addr slot_addr = idx * cfg.lineBytes;
     Line &line = lines[idx];
 
@@ -100,7 +115,7 @@ AlloyCache::access(Addr phys, AccessType type, Cycle when)
     // The TAD probe streams tag+data in one stacked access.
     const Cycle probe_done = stackedAccess(slot_addr, type, when);
 
-    if (line.valid && line.tag == tagOf(phys)) {
+    if (line.valid && line.tag == ref.tag) {
         if (!predicted_hit) {
             // MAP mispredicted miss: the speculative off-chip read
             // was issued in parallel and its bandwidth is wasted.
@@ -138,7 +153,7 @@ AlloyCache::access(Addr phys, AccessType type, Cycle when)
     funcCopy(offchipLoc(line_home), stackedLoc(slot_addr),
              cfg.lineBytes);
     line.valid = true;
-    line.tag = tagOf(phys);
+    line.tag = ref.tag;
     line.dirty = (type == AccessType::Write);
     ++statsData.fills;
 

@@ -38,7 +38,8 @@ struct AlloyConfig
     /**
      * Memory Access Predictor (MAP) entries; on a predicted miss the
      * off-chip access is issued in parallel with the TAD probe
-     * (Alloy's latency optimization). 0 disables the predictor.
+     * (Alloy's latency optimization). 0 disables the predictor;
+     * otherwise a power of two, so the page index is masked.
      */
     std::uint32_t predictorEntries = 4096;
 };
@@ -54,6 +55,8 @@ class AlloyCache : public MemOrganization
     MemAccessResult access(Addr phys, AccessType type,
                            Cycle when) override;
     const char *name() const override;
+    /** Warms the line's tag mirror and its MAP counter. */
+    void prefetch(Addr phys) const override;
 
     /** Number of cache sets (== lines, direct-mapped). */
     std::uint64_t numLines() const { return lines.size(); }
@@ -75,7 +78,10 @@ class AlloyCache : public MemOrganization
     }
 
     /** Line (set) index covering OS-visible @p phys. */
-    std::uint64_t lineIndexOf(Addr phys) const { return lineIndex(phys); }
+    std::uint64_t lineIndexOf(Addr phys) const
+    {
+        return locate(phys).index;
+    }
 
     /** OS-visible home address of valid line @p index. */
     Addr
@@ -95,8 +101,14 @@ class AlloyCache : public MemOrganization
         bool dirty = false;
     };
 
-    std::uint64_t lineIndex(Addr phys) const;
-    Addr tagOf(Addr phys) const;
+    /** Set index and tag of one OS-visible address. */
+    struct LineRef
+    {
+        std::uint64_t index;
+        Addr tag;
+    };
+
+    LineRef locate(Addr phys) const;
 
     /** MAP lookup: true when the access is predicted to hit. */
     bool predictHit(Addr phys) const;
@@ -104,6 +116,8 @@ class AlloyCache : public MemOrganization
 
     AlloyConfig cfg;
     std::vector<Line> lines;
+    /** Divides a line-sized block number by lines.size(). */
+    Divider32 lineDiv;
     /** 2-bit saturating hit predictors, page-indexed. */
     std::vector<std::uint8_t> predictor;
 };

@@ -22,36 +22,10 @@ MemOrganization::resetStats()
     offchip->resetStats();
 }
 
-Cycle
-MemOrganization::stackedAccess(Addr device_addr, AccessType type,
-                               Cycle when)
-{
-    if (!stacked)
-        panic("%s: stacked access without a stacked device", name());
-    return stacked->access(device_addr, type, when);
-}
-
-Cycle
-MemOrganization::offchipAccess(Addr device_addr, AccessType type,
-                               Cycle when)
-{
-    return offchip->access(device_addr, type, when);
-}
-
 void
-MemOrganization::recordDemand(AccessType type, Cycle issued, Cycle done,
-                              bool stacked_hit)
+MemOrganization::noStackedDevice() const
 {
-    if (type == AccessType::Read) {
-        ++statsData.reads;
-        statsData.latencySum += done - issued;
-    } else {
-        ++statsData.writes;
-    }
-    if (stacked_hit)
-        ++statsData.stackedServed;
-    else
-        ++statsData.offchipServed;
+    panic("%s: stacked access without a stacked device", name());
 }
 
 void

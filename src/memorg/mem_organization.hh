@@ -108,6 +108,16 @@ class MemOrganization : public IsaListener
     /** Human-readable design name for reports. */
     virtual const char *name() const = 0;
 
+    /**
+     * Read-only hint: start loading the metadata an access() to
+     * OS-visible @p phys would read (remapping entry, cache tag), so
+     * that access finds it in the host cache. It writes nothing, takes
+     * no lock and ignores an out-of-range @p phys, so no result can
+     * depend on whether or when it is called. Flat designs have no
+     * metadata: the default does nothing.
+     */
+    virtual void prefetch(Addr /*phys*/) const {}
+
     /** Default ISA hooks: organizations that do not use them ignore
      *  the notifications (PoM, Alloy, flat). */
     std::uint64_t isaSegmentBytes() const override { return 2048; }
@@ -211,12 +221,36 @@ class MemOrganization : public IsaListener
     virtual Addr resolveLocation(Addr phys) const = 0;
 
     /** Timed 64B access helpers (update served counters). */
-    Cycle stackedAccess(Addr device_addr, AccessType type, Cycle when);
-    Cycle offchipAccess(Addr device_addr, AccessType type, Cycle when);
+    Cycle
+    stackedAccess(Addr device_addr, AccessType type, Cycle when)
+    {
+        if (!stacked) [[unlikely]]
+            noStackedDevice();
+        return stacked->access(device_addr, type, when);
+    }
+
+    Cycle
+    offchipAccess(Addr device_addr, AccessType type, Cycle when)
+    {
+        return offchip->access(device_addr, type, when);
+    }
 
     /** Record a demand access outcome into the stats block. */
-    void recordDemand(AccessType type, Cycle issued, Cycle done,
-                      bool stacked_hit);
+    void
+    recordDemand(AccessType type, Cycle issued, Cycle done,
+                 bool stacked_hit)
+    {
+        if (type == AccessType::Read) {
+            ++statsData.reads;
+            statsData.latencySum += done - issued;
+        } else {
+            ++statsData.writes;
+        }
+        if (stacked_hit)
+            ++statsData.stackedServed;
+        else
+            ++statsData.offchipServed;
+    }
 
     /** Functional block movement, no-ops when the layer is off. */
     void funcMove(Addr src_loc, Addr dst_loc, std::uint64_t bytes);
@@ -231,6 +265,8 @@ class MemOrganization : public IsaListener
     MemOrgStats statsData;
 
   private:
+    [[noreturn]] void noStackedDevice() const;
+
     bool functionalOn = false;
     FlatMap<Addr, std::uint64_t> blockData;
 };

@@ -7,22 +7,34 @@
 namespace chameleon
 {
 
-PomMemory::PomMemory(DramDevice *stacked_dev, DramDevice *offchip_dev,
-                     const PomConfig &config)
-    : MemOrganization(stacked_dev, offchip_dev), cfg(config),
-      segSpace(stacked_dev ? stacked_dev->capacity() : 0,
-               offchip_dev->capacity(), config.segmentBytes),
-      table(segSpace.numGroups()), retiredG(segSpace.numGroups(), 0)
+namespace
+{
+
+/** Stacked capacity, checked before the segment space is built. */
+std::uint64_t
+stackedCapacity(const DramDevice *stacked)
 {
     if (!stacked)
         fatal("PomMemory: needs a stacked device");
+    return stacked->capacity();
+}
+
+} // namespace
+
+PomMemory::PomMemory(DramDevice *stacked_dev, DramDevice *offchip_dev,
+                     const PomConfig &config)
+    : MemOrganization(stacked_dev, offchip_dev), cfg(config),
+      segSpace(stackedCapacity(stacked_dev), offchip_dev->capacity(),
+               config.segmentBytes),
+      table(segSpace.numGroups()), retiredG(segSpace.numGroups(), 0)
+{
     if (cfg.srtCacheEntries > 0)
         srtCache.assign(cfg.srtCacheEntries,
                         ~static_cast<std::uint64_t>(0));
 }
 
 Cycle
-PomMemory::srtLookup(std::uint64_t group, Cycle when)
+PomMemory::srtLookupSlow(std::uint64_t group, Cycle when)
 {
     Cycle ready = when + cfg.srtLatency;
     if (faults) {
@@ -91,6 +103,13 @@ PomMemory::osVisibleBytes() const
     return segSpace.osVisibleBytes();
 }
 
+void
+PomMemory::prefetch(Addr phys) const
+{
+    if (phys < segSpace.osVisibleBytes())
+        __builtin_prefetch(&table[segSpace.groupOf(phys)], 1);
+}
+
 const char *
 PomMemory::name() const
 {
@@ -118,7 +137,7 @@ PomMemory::resolveLocation(Addr phys) const
     const std::uint64_t group = segSpace.groupOf(phys);
     const std::uint32_t logical = segSpace.slotOf(phys);
     const std::uint32_t slot = table[group].perm[logical];
-    const Addr seg_off = phys % cfg.segmentBytes;
+    const Addr seg_off = segSpace.offsetOf(phys);
     return slotLocation(group, slot) + seg_off;
 }
 
@@ -257,13 +276,13 @@ PomMemory::counterUpdate(std::uint64_t group, std::uint32_t logical,
 MemAccessResult
 PomMemory::access(Addr phys, AccessType type, Cycle when)
 {
-    if (phys >= osVisibleBytes())
+    if (phys >= segSpace.osVisibleBytes())
         panic("%s: access %#llx beyond OS-visible space", name(),
               static_cast<unsigned long long>(phys));
 
     const std::uint64_t group = segSpace.groupOf(phys);
     const std::uint32_t logical = segSpace.slotOf(phys);
-    const Addr seg_off = phys % cfg.segmentBytes;
+    const Addr seg_off = segSpace.offsetOf(phys);
     const std::uint32_t slot = table[group].perm[logical];
 
     MemAccessResult result;

@@ -114,6 +114,8 @@ class PomMemory : public MemOrganization
                            Cycle when) override;
     const char *name() const override;
     std::uint64_t isaSegmentBytes() const override;
+    /** Warms the group's SRT entry. */
+    void prefetch(Addr phys) const override;
 
     const SegmentSpace &space() const { return segSpace; }
     const PomConfig &pomConfig() const { return cfg; }
@@ -176,9 +178,19 @@ class PomMemory : public MemOrganization
     /**
      * Charge the SRT lookup for @p group: srtLatency on an SRT-cache
      * hit, plus a stacked-DRAM metadata access on a miss. Returns the
-     * cycle at which the data access may issue.
+     * cycle at which the data access may issue. An ideal table
+     * without fault injection is inline.
      */
-    Cycle srtLookup(std::uint64_t group, Cycle when);
+    Cycle
+    srtLookup(std::uint64_t group, Cycle when)
+    {
+        if (!faults && srtCache.empty()) [[likely]]
+            return when + cfg.srtLatency;
+        return srtLookupSlow(group, when);
+    }
+
+    /** srtLookup() with metadata faults or a finite SRT cache. */
+    Cycle srtLookupSlow(std::uint64_t group, Cycle when);
 
     /**
      * Stacked-resident defense: a (new-burst) hit on the stacked

@@ -25,7 +25,14 @@ namespace chameleon
 /** Maximum segments per group the packed SRT entry supports (1:7). */
 inline constexpr std::uint32_t maxSlotsPerGroup = 8;
 
-/** Address arithmetic for segment-restricted remapping. */
+/**
+ * Address arithmetic for segment-restricted remapping.
+ *
+ * The per-access decomposition divides by nothing: the segment size
+ * is a power of two (a shift and a mask), and the constructor bounds
+ * the segment count by 2^32 so the group and slot of an off-chip
+ * segment come from one Divider32 multiply-high.
+ */
 class SegmentSpace
 {
   public:
@@ -34,19 +41,34 @@ class SegmentSpace
         : segBytes(seg_bytes), stackedBytes(stacked_bytes),
           offchipBytes(offchip_bytes)
     {
-        if (segBytes == 0 || stackedBytes % segBytes != 0 ||
-            offchipBytes % segBytes != 0)
+        if (stackedBytes == 0)
+            fatal("SegmentSpace: stacked capacity is zero");
+        if (!isPowerOf2(segBytes))
+            fatal("SegmentSpace: segment size %llu is not a power of two",
+                  static_cast<unsigned long long>(segBytes));
+        if (stackedBytes % segBytes != 0 || offchipBytes % segBytes != 0)
             fatal("SegmentSpace: capacities not segment multiples");
         if (offchipBytes % stackedBytes != 0)
             fatal("SegmentSpace: off-chip must be a multiple of "
                   "stacked capacity (1:K ratio)");
-        groups = stackedBytes / segBytes;
+        segShift = floorLog2(segBytes);
+        const std::uint64_t segments =
+            (stackedBytes >> segShift) + (offchipBytes >> segShift);
+        if (segments > maxSegments)
+            fatal("SegmentSpace: %llu segments (capacity / segment "
+                  "size) exceed 2^32",
+                  static_cast<unsigned long long>(segments));
+        groups = stackedBytes >> segShift;
+        groupDiv = Divider32(static_cast<std::uint32_t>(groups));
         slots = 1 + static_cast<std::uint32_t>(offchipBytes /
                                                stackedBytes);
         if (slots > maxSlotsPerGroup)
             fatal("SegmentSpace: ratio 1:%u exceeds supported 1:%u",
                   slots - 1, maxSlotsPerGroup - 1);
     }
+
+    /** Most segments a space may have: indices fit in 32 bits. */
+    static constexpr std::uint64_t maxSegments = 1ull << 32;
 
     std::uint64_t numGroups() const { return groups; }
     std::uint32_t slotsPerGroup() const { return slots; }
@@ -60,29 +82,34 @@ class SegmentSpace
     std::uint64_t
     groupOf(Addr phys) const
     {
-        const std::uint64_t seg = phys / segBytes;
+        const std::uint64_t seg = phys >> segShift;
         if (seg < groups)
             return seg;
-        return (seg - groups) % groups;
+        const std::uint64_t n = seg - groups;
+        return n - groupDiv.quotient(n) * groups;
     }
 
     /** Logical (home) slot of OS-visible address @p phys. */
     std::uint32_t
     slotOf(Addr phys) const
     {
-        const std::uint64_t seg = phys / segBytes;
+        const std::uint64_t seg = phys >> segShift;
         if (seg < groups)
             return 0;
-        return 1 + static_cast<std::uint32_t>((seg - groups) / groups);
+        return 1 + static_cast<std::uint32_t>(
+                       groupDiv.quotient(seg - groups));
     }
+
+    /** Byte offset of @p phys within its segment. */
+    Addr offsetOf(Addr phys) const { return phys & (segBytes - 1); }
 
     /** OS-visible home address of (group, slot). */
     Addr
     homeAddr(std::uint64_t group, std::uint32_t slot) const
     {
         if (slot == 0)
-            return group * segBytes;
-        return (groups + (slot - 1) * groups + group) * segBytes;
+            return group << segShift;
+        return (groups + (slot - 1) * groups + group) << segShift;
     }
 
     /** True when physical slot @p slot resides in stacked DRAM. */
@@ -97,16 +124,18 @@ class SegmentSpace
     deviceAddr(std::uint64_t group, std::uint32_t slot) const
     {
         if (slot == 0)
-            return group * segBytes;
-        return ((slot - 1) * groups + group) * segBytes;
+            return group << segShift;
+        return ((slot - 1) * groups + group) << segShift;
     }
 
   private:
     std::uint64_t segBytes;
     std::uint64_t stackedBytes;
     std::uint64_t offchipBytes;
-    std::uint64_t groups;
-    std::uint32_t slots;
+    unsigned segShift = 0;
+    std::uint64_t groups = 0;
+    Divider32 groupDiv;
+    std::uint32_t slots = 0;
 };
 
 } // namespace chameleon

@@ -26,20 +26,10 @@ MiniOs::setTraceSink(TraceSink *sink)
     frames.setTraceSink(sink);
 }
 
-MiniOs::Process &
-MiniOs::procRef(ProcId pid)
+void
+MiniOs::badProcess(ProcId pid)
 {
-    if (pid >= processes.size() || !processes[pid].alive)
-        panic("MiniOs: bad process id %u", pid);
-    return processes[pid];
-}
-
-const MiniOs::Process &
-MiniOs::procRef(ProcId pid) const
-{
-    if (pid >= processes.size() || !processes[pid].alive)
-        panic("MiniOs: bad process id %u", pid);
-    return processes[pid];
+    panic("MiniOs: bad process id %u", pid);
 }
 
 ProcId
@@ -278,7 +268,7 @@ MiniOs::destroyProcess(ProcId pid, Cycle when)
 }
 
 Translation
-MiniOs::translate(ProcId pid, Addr vaddr, AccessType type, Cycle when)
+MiniOs::translateSlow(ProcId pid, Addr vaddr, AccessType type, Cycle when)
 {
     Process &proc = procRef(pid);
     if (vaddr >= proc.footprint)
@@ -326,18 +316,6 @@ MiniOs::translate(ProcId pid, Addr vaddr, AccessType type, Cycle when)
         pte.dirty = true;
     result.phys = pte.pfn + (vaddr & (pageBytes - 1));
     return result;
-}
-
-std::optional<Addr>
-MiniOs::peekTranslate(ProcId pid, Addr vaddr) const
-{
-    const Process &proc = procRef(pid);
-    if (vaddr >= proc.footprint)
-        return std::nullopt;
-    const Pte &pte = proc.ptes[vaddr / pageBytes];
-    if (!pte.resident)
-        return std::nullopt;
-    return pte.pfn + (vaddr & (pageBytes - 1));
 }
 
 bool

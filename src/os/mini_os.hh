@@ -105,13 +105,54 @@ class MiniOs
 
     /**
      * Translate @p vaddr for @p pid, faulting pages in as needed.
-     * Marks the page referenced (and dirty on writes).
+     * Marks the page referenced (and dirty on writes). A resident
+     * page is translated inline; faults take the out-of-line path.
      */
-    Translation translate(ProcId pid, Addr vaddr, AccessType type,
-                          Cycle when);
+    Translation
+    translate(ProcId pid, Addr vaddr, AccessType type, Cycle when)
+    {
+        Process &proc = procRef(pid);
+        if (vaddr < proc.footprint) [[likely]] {
+            Pte &pte = proc.ptes[vaddr / pageBytes];
+            if (pte.resident) [[likely]] {
+                pte.referenced = true;
+                if (type == AccessType::Write)
+                    pte.dirty = true;
+                Translation result;
+                result.phys = pte.pfn + (vaddr & (pageBytes - 1));
+                return result;
+            }
+        }
+        return translateSlow(pid, vaddr, type, when);
+    }
 
     /** Translate without side effects; nullopt if not resident. */
-    std::optional<Addr> peekTranslate(ProcId pid, Addr vaddr) const;
+    std::optional<Addr>
+    peekTranslate(ProcId pid, Addr vaddr) const
+    {
+        const Process &proc = procRef(pid);
+        if (vaddr >= proc.footprint)
+            return std::nullopt;
+        const Pte &pte = proc.ptes[vaddr / pageBytes];
+        if (!pte.resident)
+            return std::nullopt;
+        return pte.pfn + (vaddr & (pageBytes - 1));
+    }
+
+    /**
+     * Read-only hint: start loading the page-table entry that
+     * translate(@p pid, @p vaddr) will read. Writes nothing and
+     * ignores an unknown process or an address past its page table.
+     */
+    void
+    prefetchPte(ProcId pid, Addr vaddr) const
+    {
+        if (pid >= processes.size())
+            return;
+        const std::vector<Pte> &ptes = processes[pid].ptes;
+        if (vaddr / pageBytes < ptes.size())
+            __builtin_prefetch(&ptes[vaddr / pageBytes], 1);
+    }
 
     /**
      * Move one resident page to @p target zone (AutoNUMA migration).
@@ -203,8 +244,27 @@ class MiniOs
     void emitAllocs(Addr page_base, std::uint64_t bytes, Cycle when);
     void emitFrees(Addr page_base, std::uint64_t bytes, Cycle when);
 
-    Process &procRef(ProcId pid);
-    const Process &procRef(ProcId pid) const;
+    /** translate() of a page that is not resident, or a bad access. */
+    Translation translateSlow(ProcId pid, Addr vaddr, AccessType type,
+                              Cycle when);
+
+    Process &
+    procRef(ProcId pid)
+    {
+        if (pid >= processes.size() || !processes[pid].alive) [[unlikely]]
+            badProcess(pid);
+        return processes[pid];
+    }
+
+    const Process &
+    procRef(ProcId pid) const
+    {
+        if (pid >= processes.size() || !processes[pid].alive) [[unlikely]]
+            badProcess(pid);
+        return processes[pid];
+    }
+
+    [[noreturn]] static void badProcess(ProcId pid);
 
     OsConfig cfg;
     FrameAllocator frames;

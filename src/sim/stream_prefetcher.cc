@@ -25,9 +25,9 @@ cpuRelax()
 
 } // namespace
 
-SimThreadBudget::Run::Run() { simThreads.fetch_add(1); }
+SimThreadBudget::Job::Job() { simThreads.fetch_add(1); }
 
-SimThreadBudget::Run::~Run() { simThreads.fetch_sub(1); }
+SimThreadBudget::Job::~Job() { simThreads.fetch_sub(1); }
 
 bool
 SimThreadBudget::hasRoom()

@@ -62,23 +62,24 @@ namespace chameleon
 {
 
 /**
- * Process-wide count of simulation threads: System::run calls in
- * flight plus running stream helpers. A helper starts only while the
- * count is below the number of CPUs the process may run on and leaves
- * once it is above, so a sweep with one worker per CPU does not keep
- * them oversubscribed.
+ * Process-wide count of simulation threads: live Systems (each from
+ * construction to destruction, so a sweep worker setting up its next
+ * job already counts) plus running stream helpers. A helper starts
+ * only while the count is below the number of CPUs the process may
+ * run on and leaves once it is above, so a sweep with one worker per
+ * CPU does not keep them oversubscribed.
  */
 class SimThreadBudget
 {
   public:
-    /** Counts the enclosing run() for its lifetime. */
-    class Run
+    /** Counts one simulation job (a System) for its lifetime. */
+    class Job
     {
       public:
-        Run();
-        ~Run();
-        Run(const Run &) = delete;
-        Run &operator=(const Run &) = delete;
+        Job();
+        ~Job();
+        Job(const Job &) = delete;
+        Job &operator=(const Job &) = delete;
     };
 
     /** Fewer simulation threads than CPUs. */
@@ -101,6 +102,8 @@ class StreamPrefetcher
     static constexpr std::uint32_t ringOps = 1024;
     /** Ops the helper generates per ring visit; divides ringOps. */
     static constexpr std::uint32_t chunkOps = 256;
+    /** How far ahead of its read next() prefetches a ring slot. */
+    static constexpr std::uint32_t prefetchOps = 8;
     /**
      * References a System::run call generates inline before it starts
      * the helper: shorter runs (serving-sized jobs) never pay for the
@@ -129,6 +132,10 @@ class StreamPrefetcher
         Cursor &cur = cursors[core];
         if (cur.head == cur.tailSeen && !refill(core)) [[unlikely]]
             return cur.stream->next();
+        // The helper wrote these slots from another CPU: fetch the
+        // line after next ahead of its first read.
+        __builtin_prefetch(&cur.buf[(cur.head + prefetchOps) &
+                                    (ringOps - 1)]);
         const MemOp op = cur.buf[cur.head & (ringOps - 1)];
         if ((++cur.head & (chunkOps - 1)) == 0) [[unlikely]]
             publishHead(core, false);

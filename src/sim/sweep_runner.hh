@@ -38,11 +38,11 @@
  * The runner itself is internally synchronized; the simulator objects
  * inside each job remain thread-compatible, not thread-safe (one
  * System per job, never shared). Jobs share the log mutex and
- * SimThreadBudget's count of simulation threads: a job past 2^16
- * references starts a stream helper thread only while that count is
- * below the CPUs the process may use (sim/stream_prefetcher.hh), so
- * one worker per CPU leaves no room for helpers until the grid's last
- * cells.
+ * SimThreadBudget's count of simulation threads, which counts every
+ * live System: a job past 2^16 references starts a stream helper
+ * thread only while that count is below the CPUs the process may use
+ * (sim/stream_prefetcher.hh), so one worker per CPU leaves no room
+ * for helpers until the grid's last cells.
  */
 
 #ifndef CHAMELEON_SIM_SWEEP_RUNNER_HH

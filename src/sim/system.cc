@@ -302,6 +302,7 @@ System::loadTraceWorkload(const std::vector<std::string> &paths)
         fatal("System: no trace paths given");
     cores.assign(cfg.numCores, CoreModel(cfg.core));
     prefetch.reset();
+    pending.clear();
     streams.clear();
     procs.clear();
     for (std::uint32_t c = 0; c < cfg.numCores; ++c) {
@@ -328,6 +329,7 @@ System::loadPerCoreWorkloads(const std::vector<AppProfile> &profiles)
         fatal("System: need one workload per core (%u)", cfg.numCores);
     cores.assign(cfg.numCores, CoreModel(cfg.core));
     prefetch.reset();
+    pending.clear();
     streams.clear();
     procs.clear();
     for (std::uint32_t c = 0; c < cfg.numCores; ++c) {
@@ -359,6 +361,12 @@ System::runPhase(std::uint64_t retire_target)
     constexpr Cycle finished = ~static_cast<Cycle>(0);
     std::vector<Cycle> key(n);
     std::uint32_t active = 0;
+    if (pending.empty()) {
+        pending.resize(n);
+        for (std::uint32_t i = 0; i < n; ++i)
+            for (MemOp &op : pending[i].ops)
+                op = pull(i);
+    }
     for (std::uint32_t i = 0; i < n; ++i) {
         if (cores[i].retired() >= retire_target) {
             key[i] = finished;
@@ -385,8 +393,20 @@ System::runPhase(std::uint64_t retire_target)
         maybeSnapshot(core.now());
         if (refsBeforeHelper != 0 && --refsBeforeHelper == 0)
             startStreamHelper();
-        const MemOp op =
-            prefetch ? prefetch->next(c) : streams[c]->next();
+
+        // Run the oldest pulled op; its slot takes the newest, whose
+        // page-table entry is prefetched now. The op that runs next
+        // had its entry prefetched a visit ago, so peeking at its
+        // translation is cheap, and its remapping metadata is warmed.
+        Lookahead &la = pending[c];
+        const MemOp op = la.ops[la.next];
+        const MemOp &pulled = la.ops[la.next] = pull(c);
+        miniOs->prefetchPte(procs[c], pulled.vaddr);
+        la.next = (la.next + 1) % lookaheadOps;
+        if (const auto phys =
+                miniOs->peekTranslate(procs[c], la.ops[la.next].vaddr))
+            org->prefetch(*phys);
+
         if (op.gap > 1)
             core.retireCompute(op.gap - 1);
 
@@ -491,7 +511,6 @@ System::run(std::uint64_t instr_per_core, std::uint64_t warmup_per_core)
     // Generate the first references inline; runPhase hands the streams
     // to the helper after that. The guard joins the helper before
     // run() returns (or unwinds), keeping its buffered ops.
-    const SimThreadBudget::Run in_flight;
     refsBeforeHelper = StreamPrefetcher::inlineRefs;
     struct JoinHelper
     {

@@ -201,13 +201,26 @@ struct RunResult
  * Inside run(), after the first StreamPrefetcher::inlineRefs
  * references, the streams move to a helper thread that generates
  * them ahead of the timing loop (sim/stream_prefetcher.hh), if a CPU
- * is free for it: SimThreadBudget counts run() calls in flight plus
- * running helpers across the process; a helper starts only while that
- * count is below the CPUs the process may use, and hands the streams
- * back if it later exceeds them. The helper owns the streams from its
+ * is free for it: SimThreadBudget counts live Systems plus running
+ * helpers across the process; a helper starts only while that count
+ * is below the CPUs the process may use, and hands the streams back
+ * if it later exceeds them. The helper owns the streams from its
  * start until it hands them back or run() joins it, before returning;
  * ops it generated ahead stay buffered and are consumed first by the
- * next run() on the same System. Loading a workload discards them.
+ * next run() on the same System.
+ *
+ * Lookahead: each core holds the next lookaheadOps ops of its stream,
+ * pulled before they run. A step runs the core's oldest op and pulls
+ * one more; it prefetches the new op's page-table entry
+ * (MiniOs::prefetchPte) and, through a side-effect-free translation
+ * of the op that runs next (its entry was prefetched one visit
+ * earlier), that op's memory-organization metadata
+ * (MemOrganization::prefetch). The hints write nothing any result
+ * reads, and each core still runs its stream's ops in order, so the
+ * lookahead changes no result. Pulled ops that have not run carry
+ * over to the next run() on the same System, like the helper's
+ * buffered ops. Loading a workload discards both.
+ *
  * Results are bit-identical whether or not the helper runs.
  */
 class System
@@ -301,6 +314,8 @@ class System
      */
     void drainRetirements(Cycle when);
 
+    /** Counts this System in SimThreadBudget while it exists. */
+    SimThreadBudget::Job budgetJob;
     SystemConfig cfg;
     std::unique_ptr<DramDevice> stackedDev;
     std::unique_ptr<DramDevice> offchipDev;
@@ -327,6 +342,25 @@ class System
     std::vector<ProcId> procs;
     /** Generates streams ahead on a helper thread; null until used. */
     std::unique_ptr<StreamPrefetcher> prefetch;
+
+    /** Ops a core pulls from its stream ahead of the one it runs. */
+    static constexpr std::uint32_t lookaheadOps = 2;
+    /** One core's pulled ops; ops[next] runs next, then the others
+     *  in ring order. */
+    struct Lookahead
+    {
+        MemOp ops[lookaheadOps];
+        std::uint32_t next = 0;
+    };
+    /** One entry per core; empty until the first runPhase() after a
+     *  load, which fills it. */
+    std::vector<Lookahead> pending;
+    /** Core @p c's next op from the helper's ring or its stream. */
+    MemOp
+    pull(std::uint32_t c)
+    {
+        return prefetch ? prefetch->next(c) : streams[c]->next();
+    }
     /** References this run() still generates inline (0: decided). */
     std::uint64_t refsBeforeHelper = 0;
 

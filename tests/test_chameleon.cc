@@ -324,3 +324,10 @@ TEST(Polymorphic, StillCachesFreeStackedSpace)
                   .stackedHit;
     EXPECT_TRUE(hit);
 }
+
+TEST(Chameleon, NullStackedDeviceIsFatal)
+{
+    DramDevice offchip(offchipDramConfig());
+    EXPECT_DEATH(ChameleonMemory(nullptr, &offchip),
+                 "needs a stacked device");
+}

@@ -195,3 +195,12 @@ TEST(AlloyCache, FunctionalIntegrityUnderTraffic)
         }
     }
 }
+
+TEST(AlloyCache, NonPowerOfTwoPredictorIsFatal)
+{
+    Devices d;
+    AlloyConfig cfg;
+    cfg.predictorEntries = 3000;
+    EXPECT_DEATH(AlloyCache(d.stacked.get(), d.offchip.get(), cfg),
+                 "AlloyConfig::predictorEntries 3000");
+}

@@ -237,3 +237,11 @@ TEST(Pom, StatsHitRateConsistent)
     EXPECT_GE(st.stackedHitRate(), 0.0);
     EXPECT_LE(st.stackedHitRate(), 1.0);
 }
+
+// A null stacked device must stop with the organization's own fatal,
+// not a division by the zero stacked capacity in the segment space.
+TEST(Pom, NullStackedDeviceIsFatal)
+{
+    DramDevice offchip(offchipDramConfig());
+    EXPECT_DEATH(PomMemory(nullptr, &offchip), "needs a stacked device");
+}

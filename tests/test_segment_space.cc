@@ -81,6 +81,12 @@ TEST(SegmentSpace, InvalidGeometriesAreFatal)
                  "multiple of");
     // 1:8 exceeds the supported slot count.
     EXPECT_DEATH(SegmentSpace(1_MiB, 8_MiB, 2_KiB), "exceeds");
+    // No stacked capacity: the 1:K ratio would divide by zero.
+    EXPECT_DEATH(SegmentSpace(0, 20_MiB, 2_KiB), "stacked capacity is zero");
+    EXPECT_DEATH(SegmentSpace(3_MiB, 15_MiB, 1536),
+                 "segment size 1536 is not a power of two");
+    // 2^33 segments: indices no longer fit in 32 bits.
+    EXPECT_DEATH(SegmentSpace(64_GiB, 448_GiB, 64), "exceed 2\\^32");
 }
 
 /** Randomized roundtrip property over the paper's three ratios. */

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sched.h>
+
 #include <bit>
 #include <chrono>
 #include <cstdio>
@@ -179,16 +181,16 @@ TEST(StreamPrefetcher, BudgetCountsRunsAndHelpers)
 {
     const int cpus = SimThreadBudget::cpus();
     ASSERT_GE(cpus, 1);
-    std::vector<std::unique_ptr<SimThreadBudget::Run>> runs;
+    std::vector<std::unique_ptr<SimThreadBudget::Job>> runs;
     for (int i = 0; i + 1 < cpus; ++i)
-        runs.push_back(std::make_unique<SimThreadBudget::Run>());
+        runs.push_back(std::make_unique<SimThreadBudget::Job>());
     // One CPU left: one reservation fits, the next does not.
     EXPECT_TRUE(SimThreadBudget::hasRoom());
     EXPECT_TRUE(SimThreadBudget::tryReserve());
     EXPECT_FALSE(SimThreadBudget::hasRoom());
     EXPECT_FALSE(SimThreadBudget::tryReserve());
     SimThreadBudget::release();
-    runs.push_back(std::make_unique<SimThreadBudget::Run>());
+    runs.push_back(std::make_unique<SimThreadBudget::Job>());
     EXPECT_FALSE(SimThreadBudget::tryReserve());
 
     // No CPU: no helper, and the streams are still served inline.
@@ -243,6 +245,37 @@ TEST(SystemStreamHelper, SuccessiveRunsMatchPinnedResults)
     EXPECT_EQ(sys.streamPrefetcher()->starts(), 2u);
 }
 
+// Pinned on the commit before the lookahead: an alloy-cache
+// run(600'000, 200'000) of helperApp() with the process on one CPU,
+// so no helper starts and every stream is generated inline.
+TEST(SystemStreamHelper, OneCpuRunMatchesPinnedResult)
+{
+    cpu_set_t saved;
+    ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+    int first = 0;
+    while (!CPU_ISSET(first, &saved))
+        ++first;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(first, &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+    std::string got;
+    bool inline_streams = false;
+    {
+        System sys(helperConfig(Design::Alloy));
+        sys.loadRateWorkload(helperApp());
+        got = fingerprint(sys.run(600'000, 200'000));
+        inline_streams = sys.streamPrefetcher() == nullptr;
+    }
+    ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+    EXPECT_TRUE(inline_streams);
+    EXPECT_EQ(got,
+              "ipc=0x1.2747441b68aadp-2 hit=0x1.9ef8c44f46abfp-1 "
+              "amal=0x1.7c715453e50b2p+8 mode=-0x1p+0 util=0x1p+0 "
+              "swaps=0 fills=34106 major=0 minor=0 instr=7200304 "
+              "refs=179971 makespan=2107657 per_core=774876241855ffa4");
+}
+
 TEST(SystemStreamHelper, ShortRunAllocatesNothing)
 {
     System sys(helperConfig(Design::ChameleonOpt));
@@ -256,13 +289,37 @@ TEST(SystemStreamHelper, ShortRunAllocatesNothing)
 TEST(SystemStreamHelper, NoHelperWithoutAFreeCpu)
 {
     // Every CPU already runs a simulation: the long run stays inline.
-    std::vector<std::unique_ptr<SimThreadBudget::Run>> runs;
+    std::vector<std::unique_ptr<SimThreadBudget::Job>> runs;
     for (int i = 0; i < SimThreadBudget::cpus(); ++i)
-        runs.push_back(std::make_unique<SimThreadBudget::Run>());
+        runs.push_back(std::make_unique<SimThreadBudget::Job>());
     System sys(helperConfig(Design::ChameleonOpt));
     sys.loadRateWorkload(helperApp());
     EXPECT_EQ(fingerprint(sys.run(600'000, 200'000)), longRunPinned);
     EXPECT_EQ(sys.streamPrefetcher(), nullptr);
+}
+
+TEST(SystemStreamHelper, LiveSystemsCountAgainstTheBudget)
+{
+    // A System counts from construction to destruction, not only
+    // while it runs: with one live System per CPU, a long run starts
+    // no helper even though the other Systems are idle.
+    const int cpus = SimThreadBudget::cpus();
+    std::vector<std::unique_ptr<System>> idle;
+    for (int i = 0; i + 1 < cpus; ++i)
+        idle.push_back(
+            std::make_unique<System>(helperConfig(Design::Pom)));
+    System sys(helperConfig(Design::ChameleonOpt));
+    sys.loadRateWorkload(helperApp());
+    EXPECT_EQ(fingerprint(sys.run(600'000, 200'000)), longRunPinned);
+    EXPECT_EQ(sys.streamPrefetcher(), nullptr);
+    if (cpus < 2)
+        GTEST_SKIP() << "one CPU: the helper never starts";
+    // Destroying one System frees a CPU for the next long run (run()
+    // targets are cumulative: 400k more instructions per core).
+    idle.pop_back();
+    sys.run(1'200'000);
+    ASSERT_NE(sys.streamPrefetcher(), nullptr);
+    EXPECT_EQ(sys.streamPrefetcher()->starts(), 1u);
 }
 
 TEST(StreamPrefetcher, BudgetedHelperLeavesWhenCpusAreOverrun)
@@ -270,9 +327,9 @@ TEST(StreamPrefetcher, BudgetedHelperLeavesWhenCpusAreOverrun)
     auto streams = suiteStreams(23);
     auto twins = suiteStreams(23);
     StreamPrefetcher pf(streams);
-    std::vector<std::unique_ptr<SimThreadBudget::Run>> runs;
+    std::vector<std::unique_ptr<SimThreadBudget::Job>> runs;
     for (int i = 0; i + 1 < SimThreadBudget::cpus(); ++i)
-        runs.push_back(std::make_unique<SimThreadBudget::Run>());
+        runs.push_back(std::make_unique<SimThreadBudget::Job>());
     ASSERT_TRUE(pf.start());
     EXPECT_FALSE(SimThreadBudget::hasRoom());
     Rng rng(7);
@@ -285,7 +342,7 @@ TEST(StreamPrefetcher, BudgetedHelperLeavesWhenCpusAreOverrun)
     consume(50'000);
     // One more simulation thread than CPUs: the helper must give its
     // thread back and the consumer carry on inline, losing nothing.
-    runs.push_back(std::make_unique<SimThreadBudget::Run>());
+    runs.push_back(std::make_unique<SimThreadBudget::Job>());
     consume(200'000);
     EXPECT_FALSE(pf.running());
     runs.pop_back();
